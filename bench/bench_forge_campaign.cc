@@ -369,12 +369,8 @@ workerReplayMain(const Options &opt)
 void
 dumpFinalMetrics(const Options &opt)
 {
-    if (opt.metricsOut.empty())
-        return;
-    const std::string &p = opt.metricsOut;
-    const bool json =
-        p.size() >= 5 && p.compare(p.size() - 5, 5, ".json") == 0;
-    MetricsRegistry::global().writeFile(p, json);
+    if (!opt.metricsOut.empty())
+        MetricsRegistry::global().writeFile(opt.metricsOut);
 }
 
 /** --distill: reduce a finished campaign to the minimal corpus that

@@ -235,14 +235,14 @@ runServeOnly(const LoadOptions &opt)
     return 0;
 }
 
-std::string
-pctJson(const PercentileSummary &s)
+void
+pctJson(JsonWriter &w, const PercentileSummary &s)
 {
-    return strfmt("{\"n\":%" PRIu64 ",\"min\":%.3f,\"p50\":%.3f,"
-                  "\"p90\":%.3f,\"p99\":%.3f,\"p999\":%.3f,"
-                  "\"max\":%.3f,\"mean\":%.3f}",
-                  s.n, s.min, s.p50, s.p90, s.p99, s.p999, s.max,
-                  s.mean);
+    w.beginObject().field("n", s.n).key("min").fixed(s.min, 3);
+    w.key("p50").fixed(s.p50, 3).key("p90").fixed(s.p90, 3);
+    w.key("p99").fixed(s.p99, 3).key("p999").fixed(s.p999, 3);
+    w.key("max").fixed(s.max, 3).key("mean").fixed(s.mean, 3);
+    w.endObject();
 }
 
 int
@@ -265,7 +265,7 @@ runLoad(const LoadOptions &opt)
                 w.mainArgs = w.profileArgs;
                 w.profileArgs.clear();
             }
-            jobs.push_back({std::move(w), JrpmConfig{}});
+            jobs.push_back({std::move(w), JrpmConfig{}, {}});
         }
         DriverConfig dc;
         dc.jobs = opt.workers;
@@ -336,42 +336,29 @@ runLoad(const LoadOptions &opt)
     const double throughput =
         1000.0 * static_cast<double>(sum.results) / wallMs;
 
-    const std::string json = strfmt(
-        "{\n"
-        "  \"bench\": \"service\",\n"
-        "  \"config\": {\"clients\": %u, \"durationMs\": %u, "
-        "\"intervalMs\": %u, \"workers\": %u, \"cap\": %u, "
-        "\"seeds\": %u, \"warmCache\": %s},\n"
-        "  \"wallMs\": %.1f,\n"
-        "  \"sent\": %" PRIu64 ",\n"
-        "  \"results\": %" PRIu64 ",\n"
-        "  \"busyRejects\": %" PRIu64 ",\n"
-        "  \"protocolErrors\": %" PRIu64 ",\n"
-        "  \"byteMismatches\": %" PRIu64 ",\n"
-        "  \"fatalClients\": %u,\n"
-        "  \"throughputPerSec\": %.2f,\n"
-        "  \"latencyMs\": %s,\n"
-        "  \"queueMs\": %s,\n"
-        "  \"scheduler\": {\"executed\": %" PRIu64
-        ", \"steals\": %" PRIu64 ", \"taskFaults\": %" PRIu64
-        "},\n"
-        "  \"server\": {\"accepted\": %" PRIu64
-        ", \"pipelineErrors\": %" PRIu64 "}\n"
-        "}\n",
-        opt.clients, opt.durationMs, opt.intervalMs, opt.workers,
-        opt.cap, opt.seedPool,
-        opt.repoDir.empty() ? "false" : "true", wallMs, sum.sent,
-        sum.results, sum.busy, sum.protocolErrors,
-        sum.byteMismatches, fatalClients, throughput,
-        pctJson(lat).c_str(), pctJson(q).c_str(), ss.executed,
-        ss.steals, ss.taskFaults, sc.connectionsAccepted,
-        sc.pipelineErrors);
-
-    std::FILE *f = std::fopen(opt.out.c_str(), "w");
-    if (!f)
+    JsonWriter w;
+    w.beginObject(JsonWriter::Layout::Lines).field("bench", "service");
+    w.key("config").beginObject().field("clients", opt.clients);
+    w.field("durationMs", opt.durationMs);
+    w.field("intervalMs", opt.intervalMs).field("workers", opt.workers);
+    w.field("cap", opt.cap).field("seeds", opt.seedPool);
+    w.field("warmCache", !opt.repoDir.empty()).endObject();
+    w.key("wallMs").fixed(wallMs, 1);
+    w.field("sent", sum.sent).field("results", sum.results);
+    w.field("busyRejects", sum.busy);
+    w.field("protocolErrors", sum.protocolErrors);
+    w.field("byteMismatches", sum.byteMismatches);
+    w.field("fatalClients", fatalClients);
+    w.key("throughputPerSec").fixed(throughput, 2);
+    pctJson(w.key("latencyMs"), lat);
+    pctJson(w.key("queueMs"), q);
+    w.key("scheduler").beginObject().field("executed", ss.executed);
+    w.field("steals", ss.steals).field("taskFaults", ss.taskFaults);
+    w.endObject().key("server").beginObject();
+    w.field("accepted", sc.connectionsAccepted);
+    w.field("pipelineErrors", sc.pipelineErrors).endObject();
+    if (!writeTextFile(opt.out, w.endObject().take() + '\n', "bench"))
         fatal("cannot write %s", opt.out.c_str());
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
 
     inform("bench_service: %" PRIu64 " results (%.1f/s), "
            "p50 %.1fms p99 %.1fms p999 %.1fms, %" PRIu64

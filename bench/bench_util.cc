@@ -31,7 +31,7 @@ void
 flushReports()
 {
     if (!gReportOut.empty() && !gReports.empty())
-        writeReportsJson(gReportOut, gReports);
+        writeTextFile(gReportOut, reportsJson(gReports), "report");
 }
 
 void

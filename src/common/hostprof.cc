@@ -1,9 +1,9 @@
 #include "common/hostprof.hh"
 
 #include <chrono>
-#include <cstdio>
 #include <mutex>
 
+#include "common/json.hh"
 #include "common/metrics.hh"
 
 namespace jrpm
@@ -192,30 +192,19 @@ publish(MetricsRegistry &reg)
 std::string
 reportJson()
 {
-    std::string out = "[";
-    bool first = true;
-    char buf[256];
+    JsonWriter w;
+    w.beginArray();
     for (const SlotSnapshot &s : snapshot()) {
-        if (!first)
-            out += ",";
-        first = false;
-        std::snprintf(
-            buf, sizeof(buf),
-            "{\"slot\":\"%s\",\"parent\":%s,\"ticks\":%llu,"
-            "\"selfTicks\":%llu,\"scopes\":%llu,"
-            "\"totalSec\":%.9f,\"selfSec\":%.9f}",
-            s.name.c_str(),
-            s.parent >= 0
-                ? ("\"" + std::string(kNames[s.parent]) + "\"").c_str()
-                : "null",
-            static_cast<unsigned long long>(s.tsc),
-            static_cast<unsigned long long>(s.self),
-            static_cast<unsigned long long>(s.count), s.totalSec,
-            s.selfSec);
-        out += buf;
+        w.beginObject().field("slot", s.name).key("parent");
+        if (s.parent >= 0)
+            w.value(kNames[s.parent]);
+        else
+            w.null();
+        w.field("ticks", s.tsc).field("selfTicks", s.self);
+        w.field("scopes", s.count).key("totalSec").fixed(s.totalSec, 9);
+        w.key("selfSec").fixed(s.selfSec, 9).endObject();
     }
-    out += "]";
-    return out;
+    return w.endArray().take();
 }
 
 } // namespace hostprof

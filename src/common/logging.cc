@@ -210,4 +210,19 @@ strfmt(const char *fmt, ...)
     return std::string(buf.data(), static_cast<size_t>(n));
 }
 
+bool
+writeTextFile(const std::string &path, const std::string &text,
+              const char *what)
+{
+    std::FILE *f = std::fopen(path.c_str(), "w");
+    if (!f) {
+        warn("cannot open %s output '%s'", what, path.c_str());
+        return false;
+    }
+    const bool ok =
+        std::fwrite(text.data(), 1, text.size(), f) == text.size();
+    std::fclose(f);
+    return ok;
+}
+
 } // namespace jrpm

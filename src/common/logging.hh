@@ -92,6 +92,11 @@ void setQuiet(bool quiet);
 std::string strfmt(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
+/** Write @p text to the file @p path.  @return false, after warning
+ *  "cannot open <what> output", on I/O error. */
+bool writeTextFile(const std::string &path, const std::string &text,
+                   const char *what);
+
 } // namespace jrpm
 
 #endif // JRPM_COMMON_LOGGING_HH

@@ -1,7 +1,6 @@
 #include "metrics.hh"
 
-#include <cstdio>
-
+#include "common/json.hh"
 #include "common/logging.hh"
 
 namespace jrpm
@@ -99,53 +98,36 @@ std::string
 MetricsRegistry::dumpJson() const
 {
     std::lock_guard<std::mutex> lock(mu);
-    std::string out = "{";
-    bool first = true;
+    JsonWriter w;
+    w.beginObject(JsonWriter::Layout::Lines);
     for (const auto &[name, e] : entries) {
-        out += first ? "\n" : ",\n";
-        first = false;
+        w.key(name).beginObject();
         switch (e.kind) {
           case Kind::Counter:
-            out += strfmt("\"%s\":{\"kind\":\"counter\","
-                          "\"value\":%llu}",
-                          name.c_str(),
-                          static_cast<unsigned long long>(
-                              e.c.value()));
+            w.field("kind", "counter").field("value", e.c.value());
             break;
           case Kind::Gauge:
-            out += strfmt("\"%s\":{\"kind\":\"gauge\","
-                          "\"value\":%.9g}",
-                          name.c_str(), e.g.value());
+            w.field("kind", "gauge").field("value", e.g.value(), 9);
             break;
           case Kind::Histogram: {
             const SampleStat &s = e.h.summary();
-            out += strfmt("\"%s\":{\"kind\":\"histogram\","
-                          "\"count\":%llu,\"mean\":%.9g,"
-                          "\"stddev\":%.9g,\"min\":%.9g,"
-                          "\"max\":%.9g}",
-                          name.c_str(),
-                          static_cast<unsigned long long>(s.count()),
-                          s.mean(), s.stddev(), s.min(), s.max());
+            w.field("kind", "histogram").field("count", s.count());
+            w.field("mean", s.mean(), 9).field("stddev", s.stddev(), 9);
+            w.field("min", s.min(), 9).field("max", s.max(), 9);
             break;
           }
         }
+        w.endObject();
     }
-    out += "\n}\n";
-    return out;
+    return w.endObject().take() + '\n';
 }
 
 bool
-MetricsRegistry::writeFile(const std::string &path, bool json) const
+MetricsRegistry::writeFile(const std::string &path) const
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        warn("cannot open metrics output '%s'", path.c_str());
-        return false;
-    }
-    const std::string s = json ? dumpJson() : dumpText();
-    const bool ok = std::fwrite(s.data(), 1, s.size(), f) == s.size();
-    std::fclose(f);
-    return ok;
+    const bool json = path.size() >= 5 &&
+                      path.compare(path.size() - 5, 5, ".json") == 0;
+    return writeTextFile(path, json ? dumpJson() : dumpText(), "metrics");
 }
 
 } // namespace jrpm

@@ -160,8 +160,8 @@ class MetricsRegistry
     /** Flat JSON object keyed by metric name. */
     std::string dumpJson() const;
 
-    /** dump to a file; JSON if @p json else text. */
-    bool writeFile(const std::string &path, bool json) const;
+    /** Dump to a file: JSON if @p path ends in ".json", else text. */
+    bool writeFile(const std::string &path) const;
 
   private:
     enum class Kind { Counter, Gauge, Histogram };

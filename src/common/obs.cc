@@ -62,13 +62,8 @@ failsafeFlush()
     }
     if (!trace_out.empty())
         Trace::global().writeChromeJson(trace_out);
-    if (!metrics_out.empty()) {
-        const bool json =
-            metrics_out.size() >= 5 &&
-            metrics_out.compare(metrics_out.size() - 5, 5, ".json")
-                == 0;
-        MetricsRegistry::global().writeFile(metrics_out, json);
-    }
+    if (!metrics_out.empty())
+        MetricsRegistry::global().writeFile(metrics_out);
 }
 
 void

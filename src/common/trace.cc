@@ -1,39 +1,12 @@
 #include "trace.hh"
 
 #include <algorithm>
-#include <cstdio>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 
 namespace jrpm
 {
-
-namespace
-{
-
-/** JSON string escaping for the few free-form strings we emit. */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += strfmt("\\u%04x", c);
-            else
-                out += c;
-        }
-    }
-    return out;
-}
-
-} // namespace
 
 const char *
 traceEvtName(TraceEvt e)
@@ -271,36 +244,29 @@ std::string
 Trace::exportChromeJson() const
 {
     std::lock_guard<std::recursive_mutex> lock(mu);
-    std::string j;
-    j.reserve(1u << 20);
-    j += "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-    bool first = true;
-    auto emit = [&](const std::string &ev) {
-        if (!first)
-            j += ',';
-        first = false;
-        j += '\n';
-        j += ev;
-    };
+    const auto lines = JsonWriter::Layout::Lines;
+    JsonWriter w;
+    w.beginObject().field("displayTimeUnit", "ms");
+    w.key("traceEvents").beginArray(lines);
 
     // Track names.
+    auto trackName = [&](std::uint32_t tid, const std::string &name) {
+        w.beginObject().field("ph", "M").field("pid", 0).field("tid", tid);
+        w.field("name", "thread_name").key("args").beginObject();
+        w.field("name", name).endObject().endObject();
+    };
     for (std::uint32_t t = 0; t < nCpuTracks; ++t)
-        emit(strfmt("{\"ph\":\"M\",\"pid\":0,\"tid\":%u,"
-                    "\"name\":\"thread_name\",\"args\":{\"name\":"
-                    "\"cpu%u\"}}", t, t));
-    emit(strfmt("{\"ph\":\"M\",\"pid\":0,\"tid\":%u,"
-                "\"name\":\"thread_name\",\"args\":{\"name\":"
-                "\"host\"}}", nCpuTracks));
+        trackName(t, strfmt("cpu%u", t));
+    trackName(nCpuTracks, "host");
 
     // Execution-state spans (skip Idle: it only adds noise).
     for (const TraceSpan &s : spans()) {
         if (s.state == TraceState::Idle)
             continue;
-        emit(strfmt("{\"name\":\"%s\",\"cat\":\"state\",\"ph\":\"X\","
-                    "\"pid\":0,\"tid\":%u,\"ts\":%llu,\"dur\":%llu}",
-                    traceStateName(s.state), s.track,
-                    static_cast<unsigned long long>(s.begin),
-                    static_cast<unsigned long long>(s.length())));
+        w.beginObject().field("name", traceStateName(s.state));
+        w.field("cat", "state").field("ph", "X").field("pid", 0);
+        w.field("tid", s.track).field("ts", s.begin);
+        w.field("dur", s.length()).endObject();
     }
 
     // Instant events, every track.
@@ -309,62 +275,41 @@ Trace::exportChromeJson() const
             if (e.kind == TraceEvt::StateChange ||
                 e.kind == TraceEvt::ViolatedWindow)
                 continue;
-            std::string name;
+            w.beginObject().key("name");
             if (e.kind == TraceEvt::Phase &&
                 static_cast<std::size_t>(e.arg0) < phaseMarks.size())
-                name = "phase:" +
-                       jsonEscape(phaseMarks[e.arg0].second);
+                w.value("phase:" + phaseMarks[e.arg0].second);
             else
-                name = traceEvtName(e.kind);
-            emit(strfmt("{\"name\":\"%s\",\"cat\":\"event\","
-                        "\"ph\":\"i\",\"s\":\"t\",\"pid\":0,"
-                        "\"tid\":%u,\"ts\":%llu,\"args\":{"
-                        "\"arg0\":%d,\"arg1\":%llu,\"arg2\":%u}}",
-                        name.c_str(), tid,
-                        static_cast<unsigned long long>(e.ts),
-                        e.arg0,
-                        static_cast<unsigned long long>(e.arg1),
-                        e.arg2));
+                w.value(traceEvtName(e.kind));
+            w.field("cat", "event").field("ph", "i").field("s", "t");
+            w.field("pid", 0).field("tid", tid).field("ts", e.ts);
+            w.key("args").beginObject().field("arg0", e.arg0);
+            w.field("arg1", e.arg1).field("arg2", e.arg2);
+            w.endObject().endObject();
         }
     };
     for (std::uint32_t t = 0; t < nCpuTracks; ++t)
         emitInstants(static_cast<std::uint8_t>(t), t);
     emitInstants(kHostTrack, nCpuTracks);
 
-    j += "\n],\"violationLedger\":[";
-    for (std::size_t i = 0; i < ledger.size(); ++i) {
-        const ViolationRecord &v = ledger[i];
-        j += strfmt("%s\n{\"cycle\":%llu,\"addr\":\"0x%x\","
-                    "\"storeSite\":%u,\"loopId\":%d,\"storeCpu\":%u,"
-                    "\"victimCpu\":%u,\"victimIteration\":%llu,"
-                    "\"victimProgress\":%llu}",
-                    i ? "," : "",
-                    static_cast<unsigned long long>(v.cycle), v.addr,
-                    v.storeSite, v.loopId, v.storeCpu, v.victimCpu,
-                    static_cast<unsigned long long>(
-                        v.victimIteration),
-                    static_cast<unsigned long long>(
-                        v.victimProgress));
+    w.endArray().key("violationLedger").beginArray(lines);
+    for (const ViolationRecord &v : ledger) {
+        w.beginObject().field("cycle", v.cycle);
+        w.field("addr", strfmt("0x%x", v.addr));
+        w.field("storeSite", v.storeSite).field("loopId", v.loopId);
+        w.field("storeCpu", v.storeCpu).field("victimCpu", v.victimCpu);
+        w.field("victimIteration", v.victimIteration);
+        w.field("victimProgress", v.victimProgress).endObject();
     }
-    j += strfmt("\n],\"droppedEvents\":%llu,"
-                "\"droppedViolations\":%llu}\n",
-                static_cast<unsigned long long>(dropped()),
-                static_cast<unsigned long long>(ledgerDropped));
-    return j;
+    w.endArray().field("droppedEvents", dropped());
+    w.field("droppedViolations", ledgerDropped);
+    return w.endObject().take() + '\n';
 }
 
 bool
 Trace::writeChromeJson(const std::string &path) const
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        warn("cannot open trace output '%s'", path.c_str());
-        return false;
-    }
-    const std::string j = exportChromeJson();
-    const bool ok = std::fwrite(j.data(), 1, j.size(), f) == j.size();
-    std::fclose(f);
-    return ok;
+    return writeTextFile(path, exportChromeJson(), "trace");
 }
 
 } // namespace jrpm

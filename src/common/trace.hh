@@ -293,7 +293,9 @@ class Trace
 
 /**
  * Instrumentation macros: compile to nothing when the subsystem is
- * configured out, and to a single enabled-flag branch otherwise.
+ * configured out (the arguments are still type-checked, never
+ * evaluated, so they count as used), and to a single enabled-flag
+ * branch otherwise.
  */
 #if JRPM_TRACE_ENABLED
 #define JRPM_TRACE(track, kind, ts, ...)                               \
@@ -301,7 +303,10 @@ class Trace
                                    (ts)__VA_OPT__(, ) __VA_ARGS__)
 #define JRPM_TRACE_ON() (::jrpm::Trace::global().enabled())
 #else
-#define JRPM_TRACE(track, kind, ts, ...) ((void)0)
+#define JRPM_TRACE(track, kind, ts, ...)                               \
+    (false ? ::jrpm::Trace::global().record(                           \
+                 (track), (kind), (ts)__VA_OPT__(, ) __VA_ARGS__)      \
+           : void())
 #define JRPM_TRACE_ON() (false)
 #endif
 

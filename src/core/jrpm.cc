@@ -12,34 +12,6 @@
 namespace jrpm
 {
 
-namespace
-{
-
-bool
-samePlan(const OptPlan &a, const OptPlan &b)
-{
-    return a.syncLock == b.syncLock &&
-           a.syncLocalVar == b.syncLocalVar &&
-           a.multilevel == b.multilevel &&
-           a.multilevelInner == b.multilevelInner &&
-           a.hoistHandlers == b.hoistHandlers;
-}
-
-bool
-sameRequests(const std::vector<StlRequest> &a,
-             const std::vector<StlRequest> &b)
-{
-    if (a.size() != b.size())
-        return false;
-    for (std::size_t i = 0; i < a.size(); ++i)
-        if (a[i].loopId != b[i].loopId ||
-            !samePlan(a[i].plan, b[i].plan))
-            return false;
-    return true;
-}
-
-} // namespace
-
 JrpmSystem::JrpmSystem(Workload workload, JrpmConfig config)
     : load(std::move(workload)), cfg(std::move(config)),
       theJit(load.program, cfg.jit)
@@ -138,14 +110,7 @@ JrpmSystem::runTls(const std::vector<Word> &args,
         reqs.push_back({sel.loopId, sel.plan});
     {
         JRPM_HPROF(JitCompile);
-        if (tlsCache.valid && sameRequests(tlsCache.reqs, reqs)) {
-            m.codeSpace() = tlsCache.code;
-        } else {
-            theJit.compileAll(m.codeSpace(), CompileMode::Tls, reqs);
-            tlsCache.code = m.codeSpace();
-            tlsCache.reqs = reqs;
-            tlsCache.valid = true;
-        }
+        theJit.compileAll(m.codeSpace(), CompileMode::Tls, reqs);
     }
     RunOutcome out = runOn(m, args);
     out.faultsInjected = inj.firedTotal();
@@ -277,13 +242,8 @@ JrpmSystem::run()
     }
     if (!cfg.obs.traceOut.empty())
         Trace::global().writeChromeJson(cfg.obs.traceOut);
-    if (!cfg.obs.metricsOut.empty()) {
-        const std::string &path = cfg.obs.metricsOut;
-        const bool json = path.size() >= 5 &&
-                          path.compare(path.size() - 5, 5, ".json")
-                              == 0;
-        MetricsRegistry::global().writeFile(path, json);
-    }
+    if (!cfg.obs.metricsOut.empty())
+        MetricsRegistry::global().writeFile(cfg.obs.metricsOut);
     obs::disarmFailsafe();
     return rep;
 }

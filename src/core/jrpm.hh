@@ -230,22 +230,6 @@ class JrpmSystem
     JrpmConfig cfg;
     Jit theJit;
 
-    /**
-     * Memoized Tls-mode compiler output: repeated runTls calls with
-     * an identical request set (service traffic, benchmark loops,
-     * forge campaigns re-running one decomposition) copy the compiled
-     * methods into the fresh machine instead of re-running the
-     * compiler.  Compilation is deterministic in (program, config,
-     * requests), so the copy is bit-identical to a recompile.
-     */
-    struct TlsCodeCache
-    {
-        bool valid = false;
-        std::vector<StlRequest> reqs;
-        CodeSpace code;
-    };
-    TlsCodeCache tlsCache;
-
     RunOutcome runOn(Machine &m, const std::vector<Word> &args);
 
     /** The Fig. 1 pipeline body; run() wraps it with the host-side

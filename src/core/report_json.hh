@@ -3,85 +3,29 @@
  * Machine-readable JSON export of JrpmReport, so the batch driver's
  * and the bench harnesses' results are scriptable (CI assertions,
  * dashboards, regression diffing) instead of screen-scraped from the
- * text tables.
+ * text tables.  JsonValue, jsonParse() and jsonEscape() come with it
+ * (common/json.hh).
  */
 
 #ifndef JRPM_CORE_REPORT_JSON_HH
 #define JRPM_CORE_REPORT_JSON_HH
 
-#include <cstddef>
-#include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
+#include "common/json.hh"
 #include "core/jrpm.hh"
 
 namespace jrpm
 {
 
-/**
- * A parsed JSON value, so exported reports can be read back and
- * asserted on (round-trip tests, replay tooling) without an external
- * dependency.  Only what reportJson() emits is needed: null, bool,
- * double numbers, strings, arrays, objects.
- */
-struct JsonValue
-{
-    enum class Kind { Null, Bool, Number, String, Array, Object };
-
-    Kind kind = Kind::Null;
-    bool b = false;
-    double num = 0.0;
-    std::string str;
-    std::vector<JsonValue> items;
-    std::map<std::string, JsonValue> fields;
-
-    bool isNull() const { return kind == Kind::Null; }
-    bool boolean() const { return kind == Kind::Bool && b; }
-    double number() const { return kind == Kind::Number ? num : 0.0; }
-
-    /** Object member lookup; a shared Null value when absent. */
-    const JsonValue &operator[](const std::string &key) const;
-    /** Array element; a shared Null value when out of range. */
-    const JsonValue &at(std::size_t i) const;
-};
-
-/**
- * Defensive bounds on what jsonParse() will accept.  Campaign
- * manifests and analytics files are parsed back after crashes, so a
- * corrupt file must fail cleanly instead of exhausting the stack
- * (deep nesting recurses) or memory (unbounded input).
- */
-struct JsonLimits
-{
-    /** Reject documents larger than this before parsing anything. */
-    std::size_t maxBytes = 64u << 20;
-    /** Maximum container ([ / {) nesting depth. */
-    std::uint32_t maxDepth = 192;
-};
-
-/** Parse one JSON document.  @return false (and *err) on malformed
- *  input, including trailing garbage, over-deep nesting and inputs
- *  exceeding @p limits. */
-bool jsonParse(const std::string &text, JsonValue &out,
-               std::string *err = nullptr,
-               const JsonLimits &limits = {});
-
-/** Escape a string for embedding in a JSON document (quotes not
- *  included). */
-std::string jsonEscape(const std::string &s);
-
 /** One report as a JSON object (phases, selections, speedups,
  *  oracle verdict, crystal provenance). */
 std::string reportJson(const JrpmReport &rep);
 
-/** Several reports as a JSON array. */
+/** Several reports as a JSON array, one per line (the
+ *  --report-out file format). */
 std::string reportsJson(const std::vector<JrpmReport> &reps);
-
-/** reportsJson() to a file.  @return false on I/O error. */
-bool writeReportsJson(const std::string &path,
-                      const std::vector<JrpmReport> &reps);
 
 } // namespace jrpm
 

@@ -121,61 +121,148 @@ struct SpanHist
     }
 };
 
-/**
- * Breakdown of execution into the six Fig. 10 states.  Units are
- * CPU-normalized wall-clock cycles: a cycle of serial execution adds 1
- * to `serial`; a cycle inside an STL adds 1/numCpus to the bucket of
- * each CPU's current activity (so the six buckets sum to total
- * wall-clock cycles).
+/*
+ * Stats field tables.  Each row names one field once; the struct
+ * declarations below, Machine::publishMetrics, the report JSON, the
+ * fast-path differential and the forge capsule are all generated from
+ * them.  A table macro takes one handler per row kind:
+ *
+ *   BUCKET(member)                       double Fig. 10 bucket
+ *   COUNTER(member, metric, key[, diff]) std::uint64_t event count
+ *   VIEW(path, metric, key[, diff])      a count read through another
+ *                                        field (not declared)
+ *   SAMPLES(member, metric)              SampleStat
+ *   HIST(member, key[, diff])            SpanHist
+ *   CAUSES(member, n, name, metric, key[, diff])
+ *                                        std::array<std::uint64_t, n>
+ *                                        indexed by name(i)'s enum
+ *
+ * `metric` is the MetricsRegistry counter (histogram for SAMPLES)
+ * under the run's "tls." or "tls.loop<id>." prefix, `key` the report
+ * JSON member; "" for either means the field is not published there.
+ * `diff` says whether the fast-path differential compares the field:
+ * dispatch-shape counters describe how the simulator stepped, not
+ * what the simulated machine did, and may differ.  Rows are in report
+ * JSON order within each kind.  Adding a counter is one row plus its
+ * increment.
  */
+
+/**
+ * ExecStats: the six Fig. 10 buckets are CPU-normalized wall-clock
+ * cycles (a serial cycle adds 1 to `serial`; a cycle inside an STL
+ * adds 1/numCpus to the bucket of each CPU's current activity, so the
+ * buckets sum to total wall-clock cycles), then the dependence
+ * telemetry of the run.
+ */
+#define JRPM_EXEC_STATS(BUCKET, COUNTER, VIEW, HIST, CAUSES)                 \
+    BUCKET(serial)                                                           \
+    BUCKET(runUsed)                                                          \
+    BUCKET(waitUsed)                                                         \
+    BUCKET(overhead)                                                         \
+    BUCKET(runViolated)                                                      \
+    BUCKET(waitViolated)                                                     \
+    /* event-free burst lengths per speculative window (instructions) */    \
+    HIST(burstSpans, "burstSpans", false)                                    \
+    VIEW(burstSpans.count, "spec_windows", "specWindows", false)             \
+    VIEW(burstSpans.sum, "spec_window_insts", "specWindowInsts", false)      \
+    /* windows that fell back to the cycle-exact step() path */              \
+    COUNTER(specSlowSteps, "spec_slow_steps", "specSlowSteps", false)        \
+    /* speculative memory ops retired inside a burst window (the */         \
+    /* signature fast path proved them core-local) */                        \
+    COUNTER(specFastMem, "spec_fast_mem", "specFastMem", false)              \
+    /* write/read-set signature probes that hit and ran the exact */        \
+    /* forwarding or broadcast scan */                                       \
+    COUNTER(sigHits, "sig_hits", "sigHits", false)                           \
+    /* signature hits whose exact scan then found nothing (aliasing); */    \
+    /* pure fallback cost, never a correctness event */                      \
+    COUNTER(sigFalsePositives, "sig_false_positives", "sigFalsePositives",   \
+            false)                                                           \
+    /* speculative loads satisfied from a less-speculative buffer */        \
+    COUNTER(forwardedLoads, "forwarded_loads", "forwardedLoads", true)       \
+    /* committed speculative threads */                                      \
+    COUNTER(commits, "commits", "commits", true)                             \
+    COUNTER(stlEntries, "stl_entries", "stlEntries", true)                   \
+    COUNTER(bufferOverflowStalls, "overflow_stalls", "overflowStalls", true) \
+    /* RAW squash events */                                                  \
+    COUNTER(violations, "violations", "", true)                              \
+    /* new violating addresses past kMaxViolationAddrs */                    \
+    COUNTER(violationAddrsDropped, "", "", true)                             \
+    /* forward-progress timeouts */                                          \
+    COUNTER(watchdogFires, "watchdog_fires", "", true)                       \
+    /* STLs degraded to solo mode */                                         \
+    COUNTER(governorAborts, "governor_aborts", "", true)                     \
+    /* violations whose detection was suppressed (fault injection) */        \
+    COUNTER(violationsSuppressed, "violations_suppressed", "", true)         \
+    /* iteration distance the forwarded value travelled */                   \
+    HIST(forwardDistance, "forwardDistance", true)                           \
+    /* store-buffer line occupancy sampled at each speculative store */      \
+    HIST(storeBufOccupancy, "storeBufOccupancy", true)                       \
+    /* squash events by cause (one per event, not per squashed core) */     \
+    CAUSES(squashCauses, kNumSquashCauses, squashCauseName, "squash.",       \
+           "squashCauses", true)                                             \
+    /* RAW-violated addresses by variable class */                           \
+    CAUSES(violationsByClass, kNumAddrClasses, addrClassName,                \
+           "violations_by_class.", "violationsByClass", true)
+
+/** StlRuntimeStats: one executed STL (Table 3 columns g-k) plus its
+ *  dependence telemetry. */
+#define JRPM_STL_STATS(COUNTER, VIEW, SAMPLES, HIST, CAUSES)                 \
+    COUNTER(entries, "entries", "entries")                                   \
+    COUNTER(commits, "commits", "commits")                                   \
+    COUNTER(violations, "violations", "violations")                          \
+    /* wall cycles with this STL active */                                   \
+    COUNTER(cyclesInside, "cycles_inside", "cyclesInside")                   \
+    /* buffer-overflow stalls here */                                        \
+    COUNTER(overflowStalls, "overflow_stalls", "overflowStalls")             \
+    /* entries run head-only */                                              \
+    COUNTER(soloEntries, "solo_entries", "soloEntries")                      \
+    /* cycle-exact fallback windows */                                       \
+    COUNTER(slowSteps, "slow_steps", "slowSteps")                            \
+    /* memory ops retired in-window */                                       \
+    COUNTER(specFastMem, "spec_fast_mem", "specFastMem")                     \
+    /* signature probes that hit, and hits with empty scans */               \
+    COUNTER(sigHits, "sig_hits", "sigHits")                                  \
+    COUNTER(sigFalsePositives, "sig_false_positives", "sigFalsePositives")   \
+    COUNTER(forwardedLoads, "forwarded_loads", "forwardedLoads")             \
+    /* governor trips on this loop */                                        \
+    COUNTER(governorAborts, "governor_aborts", "")                           \
+    VIEW(burstSpans.count, "burst_windows", "")                              \
+    VIEW(burstSpans.sum, "burst_insts", "")                                  \
+    /* committed thread sizes */                                             \
+    SAMPLES(threadCycles, "thread_cycles")                                   \
+    /* speculatively-read lines and store-buffer lines per thread */        \
+    SAMPLES(loadLines, "")                                                   \
+    SAMPLES(storeLines, "")                                                  \
+    HIST(burstSpans, "burstSpans")                                           \
+    /* iteration distance of forwards */                                     \
+    HIST(forwardDistance, "forwardDistance")                                 \
+    /* lines buffered at each store */                                       \
+    HIST(storeBufOccupancy, "storeBufOccupancy")                             \
+    CAUSES(squashCauses, kNumSquashCauses, squashCauseName, "",              \
+           "squashCauses")                                                   \
+    CAUSES(violationsByClass, kNumAddrClasses, addrClassName, "",            \
+           "violationsByClass")
+
+/** Row handler that generates nothing. */
+#define JRPM_STATS_SKIP(...)
+#define JRPM_STATS_DECLARE_BUCKET(m) double m = 0;
+#define JRPM_STATS_DECLARE_COUNTER(m, ...) std::uint64_t m = 0;
+#define JRPM_STATS_DECLARE_SAMPLES(m, ...) SampleStat m;
+#define JRPM_STATS_DECLARE_HIST(m, ...) SpanHist m;
+#define JRPM_STATS_DECLARE_CAUSES(m, n, ...) std::array<std::uint64_t, n> m{};
+
+/** Breakdown of execution into the six Fig. 10 states, plus the
+ *  run's dependence telemetry (see JRPM_EXEC_STATS). */
 struct ExecStats
 {
-    double serial = 0;
-    double runUsed = 0;
-    double waitUsed = 0;
-    double overhead = 0;
-    double runViolated = 0;
-    double waitViolated = 0;
+    JRPM_EXEC_STATS(JRPM_STATS_DECLARE_BUCKET, JRPM_STATS_DECLARE_COUNTER,
+                    JRPM_STATS_SKIP, JRPM_STATS_DECLARE_HIST,
+                    JRPM_STATS_DECLARE_CAUSES)
 
-    std::uint64_t violations = 0;     ///< RAW squash events
     /** Addresses whose stores caused violations (diagnostics).
      *  Bounded: at most kMaxViolationAddrs distinct addresses are
      *  tracked; further new addresses bump violationAddrsDropped. */
     std::map<std::uint64_t, std::uint64_t> violationAddrs;
-    std::uint64_t violationAddrsDropped = 0;
-    std::uint64_t commits = 0;        ///< committed speculative threads
-    std::uint64_t stlEntries = 0;
-    std::uint64_t bufferOverflowStalls = 0;
-
-    std::uint64_t watchdogFires = 0;  ///< forward-progress timeouts
-    std::uint64_t governorAborts = 0; ///< STLs degraded to solo mode
-    /** Violations whose detection was suppressed (fault injection). */
-    std::uint64_t violationsSuppressed = 0;
-
-    // --- dependence telemetry (observatory) ---
-    /** Event-free burst lengths per speculative window (instructions). */
-    SpanHist burstSpans;
-    /** Windows that fell back to the cycle-exact step() path. */
-    std::uint64_t specSlowSteps = 0;
-    /** Speculative memory ops retired inside a burst window (the
-     *  signature fast path proved them core-local). */
-    std::uint64_t specFastMem = 0;
-    /** Write/read-set signature probes that hit and ran the exact
-     *  forwarding or broadcast scan. */
-    std::uint64_t sigHits = 0;
-    /** Signature hits whose exact scan then found nothing (aliasing);
-     *  pure fallback cost, never a correctness event. */
-    std::uint64_t sigFalsePositives = 0;
-    /** Speculative loads satisfied from a less-speculative buffer. */
-    std::uint64_t forwardedLoads = 0;
-    /** Iteration distance the forwarded value travelled. */
-    SpanHist forwardDistance;
-    /** Store-buffer line occupancy sampled at each speculative store. */
-    SpanHist storeBufOccupancy;
-    /** Squash events by cause (index = SquashCause). */
-    std::array<std::uint64_t, kNumSquashCauses> squashCauses{};
-    /** RAW-violated addresses by variable class (index = AddrClass). */
-    std::array<std::uint64_t, kNumAddrClasses> violationsByClass{};
 
     static constexpr std::size_t kMaxViolationAddrs = 128;
 
@@ -225,32 +312,12 @@ struct ExecStats
     }
 };
 
-/** Runtime behaviour of one executed STL (Table 3 columns g-k). */
+/** Runtime behaviour of one executed STL (see JRPM_STL_STATS). */
 struct StlRuntimeStats
 {
-    std::uint64_t entries = 0;
-    std::uint64_t commits = 0;
-    std::uint64_t violations = 0;
-    SampleStat threadCycles;     ///< committed thread sizes
-    SampleStat loadLines;        ///< speculatively-read lines/thread
-    SampleStat storeLines;       ///< store-buffer lines/thread
-    std::uint64_t cyclesInside = 0; ///< wall cycles with this STL active
-
-    std::uint64_t overflowStalls = 0; ///< buffer-overflow stalls here
-    std::uint64_t soloEntries = 0;    ///< entries run head-only
-    std::uint64_t governorAborts = 0; ///< governor trips on this loop
-
-    // --- dependence telemetry (observatory), scoped to this loop ---
-    SpanHist burstSpans;           ///< event-free burst lengths
-    std::uint64_t slowSteps = 0;   ///< cycle-exact fallback windows
-    std::uint64_t specFastMem = 0; ///< memory ops retired in-window
-    std::uint64_t sigHits = 0;     ///< signature probes that hit
-    std::uint64_t sigFalsePositives = 0; ///< hits with empty scans
-    std::uint64_t forwardedLoads = 0;
-    SpanHist forwardDistance;      ///< iteration distance of forwards
-    SpanHist storeBufOccupancy;    ///< lines buffered at each store
-    std::array<std::uint64_t, kNumSquashCauses> squashCauses{};
-    std::array<std::uint64_t, kNumAddrClasses> violationsByClass{};
+    JRPM_STL_STATS(JRPM_STATS_DECLARE_COUNTER, JRPM_STATS_SKIP,
+                   JRPM_STATS_DECLARE_SAMPLES, JRPM_STATS_DECLARE_HIST,
+                   JRPM_STATS_DECLARE_CAUSES)
 
     /** Total squash events on this loop, all causes. */
     std::uint64_t

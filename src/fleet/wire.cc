@@ -2,6 +2,7 @@
 
 #include <cinttypes>
 #include <cstdlib>
+#include <type_traits>
 
 #include "common/logging.hh"
 #include "core/report_json.hh"
@@ -15,73 +16,50 @@ namespace fleet
 std::string
 caseResultJson(const forge::CaseResult &cr)
 {
-    std::string j = "{";
-    j += strfmt("\"seed\":\"%016llx\",\"axes\":%u,\"stmts\":%u,",
-                static_cast<unsigned long long>(cr.seed), cr.axes,
-                cr.stmts);
-    j += strfmt("\"ok\":%s,\"error\":\"%s\",",
-                cr.ok ? "true" : "false",
-                jsonEscape(cr.error).c_str());
-    j += strfmt("\"pipelineDiverged\":%s,\"forcedLoops\":%u,"
-                "\"forcedDiverged\":%u,\"watchdog\":%s,"
-                "\"silent\":%s,\"faultsInjected\":%u,"
-                "\"detail\":\"%s\",",
-                cr.pipelineDiverged ? "true" : "false",
-                cr.forcedLoops, cr.forcedDiverged,
-                cr.watchdog ? "true" : "false",
-                cr.silent ? "true" : "false", cr.faultsInjected,
-                jsonEscape(cr.detail).c_str());
-    j += strfmt("\"speedup\":%.17g,\"seqCycles\":%" PRIu64
-                ",\"tlsCycles\":%" PRIu64 ",\"violations\":%" PRIu64
-                ",\"commits\":%" PRIu64 ",\"overflowStalls\":%" PRIu64
-                ",\"specWindows\":%" PRIu64
-                ",\"specWindowInsts\":%" PRIu64
-                ",\"specSlowSteps\":%" PRIu64
-                ",\"specFastMem\":%" PRIu64
-                ",\"sigHits\":%" PRIu64
-                ",\"sigFalsePositives\":%" PRIu64
-                ",\"forwardedLoads\":%" PRIu64
-                ",\"meanBurst\":%.17g,\"wallMs\":%.17g,",
-                cr.speedup, cr.seqCycles, cr.tlsCycles, cr.violations,
-                cr.commits, cr.overflowStalls, cr.specWindows,
-                cr.specWindowInsts, cr.specSlowSteps, cr.specFastMem,
-                cr.sigHits, cr.sigFalsePositives,
-                cr.forwardedLoads, cr.meanBurst, cr.wallMs);
-    j += "\"squashCauses\":[";
-    for (std::size_t c = 0; c < kNumSquashCauses; ++c)
-        j += strfmt(c ? ",%" PRIu64 : "%" PRIu64, cr.squashCauses[c]);
-    j += "],\"violationsByClass\":[";
-    for (std::size_t c = 0; c < kNumAddrClasses; ++c)
-        j += strfmt(c ? ",%" PRIu64 : "%" PRIu64,
-                    cr.violationsByClass[c]);
-    j += "],\"loopSquashes\":[";
-    bool first = true;
-    for (const auto &[loop_id, sq] : cr.loopSquashes) {
-        if (!first)
-            j += ',';
-        first = false;
-        j += strfmt("[%d,%" PRIu64 "]", loop_id, sq);
-    }
-    j += "],";
-    j += strfmt("\"governorAborts\":%" PRIu64
-                ",\"soloEntries\":%" PRIu64
-                ",\"stlEntries\":%" PRIu64
-                ",\"syncLockPlans\":%u,\"multilevelPlans\":%u,"
-                "\"demoted\":%s,\"sigHash\":\"%016llx\"}",
-                cr.governorAborts, cr.soloEntries, cr.stlEntries,
-                cr.syncLockPlans, cr.multilevelPlans,
-                cr.demoted ? "true" : "false",
-                static_cast<unsigned long long>(cr.sigHash));
-    return j;
+    JsonWriter w;
+    w.beginObject().field("seed", strfmt("%016" PRIx64, cr.seed));
+    w.field("axes", cr.axes).field("stmts", cr.stmts).field("ok", cr.ok);
+    w.field("error", cr.error);
+    w.field("pipelineDiverged", cr.pipelineDiverged);
+    w.field("forcedLoops", cr.forcedLoops);
+    w.field("forcedDiverged", cr.forcedDiverged);
+    w.field("watchdog", cr.watchdog).field("silent", cr.silent);
+    w.field("faultsInjected", cr.faultsInjected);
+    w.field("detail", cr.detail);
+    // The percentile rows, the per-cause arrays, then the rest.
+    bool pctRows = true;
+#define JRPM_WIRE_OUT(type, member, from, pct)                               \
+    if (pct == pctRows)                                                      \
+        w.field(#member, cr.member);
+    JRPM_CASE_TELEMETRY(JRPM_WIRE_OUT)
+    w.key("squashCauses").beginArray();
+    for (std::uint64_t n : cr.squashCauses)
+        w.value(n);
+    w.endArray().key("violationsByClass").beginArray();
+    for (std::uint64_t n : cr.violationsByClass)
+        w.value(n);
+    w.endArray().key("loopSquashes").beginArray();
+    for (const auto &[loop_id, sq] : cr.loopSquashes)
+        w.beginArray().value(loop_id).value(sq).endArray();
+    w.endArray();
+    pctRows = false;
+    JRPM_CASE_TELEMETRY(JRPM_WIRE_OUT)
+#undef JRPM_WIRE_OUT
+    w.field("sigHash", strfmt("%016" PRIx64, cr.sigHash));
+    return w.endObject().take();
 }
 
 namespace
 {
 
-std::uint64_t
-u64Of(const JsonValue &v)
+template <class T>
+T
+fieldOf(const JsonValue &v)
 {
-    return static_cast<std::uint64_t>(v.number());
+    if constexpr (std::is_same_v<T, bool>)
+        return v.boolean();
+    else
+        return static_cast<T>(v.number());
 }
 
 } // namespace
@@ -108,48 +86,34 @@ caseResultFromJson(const std::string &text, forge::CaseResult &out,
     cr.seed = std::strtoull(v["seed"].str.c_str(), &end, 16);
     if (end == v["seed"].str.c_str() || *end)
         return fail("unparseable seed");
-    cr.axes = static_cast<std::uint32_t>(v["axes"].number());
-    cr.stmts = static_cast<std::uint32_t>(v["stmts"].number());
+    cr.axes = fieldOf<std::uint32_t>(v["axes"]);
+    cr.stmts = fieldOf<std::uint32_t>(v["stmts"]);
     cr.ok = v["ok"].boolean();
     cr.error = v["error"].str;
     cr.pipelineDiverged = v["pipelineDiverged"].boolean();
-    cr.forcedLoops =
-        static_cast<std::uint32_t>(v["forcedLoops"].number());
-    cr.forcedDiverged =
-        static_cast<std::uint32_t>(v["forcedDiverged"].number());
+    cr.forcedLoops = fieldOf<std::uint32_t>(v["forcedLoops"]);
+    cr.forcedDiverged = fieldOf<std::uint32_t>(v["forcedDiverged"]);
     cr.watchdog = v["watchdog"].boolean();
     cr.silent = v["silent"].boolean();
-    cr.faultsInjected =
-        static_cast<std::uint32_t>(v["faultsInjected"].number());
+    cr.faultsInjected = fieldOf<std::uint32_t>(v["faultsInjected"]);
     cr.detail = v["detail"].str;
-    cr.speedup = v["speedup"].number();
-    cr.seqCycles = u64Of(v["seqCycles"]);
-    cr.tlsCycles = u64Of(v["tlsCycles"]);
-    cr.violations = u64Of(v["violations"]);
-    cr.commits = u64Of(v["commits"]);
-    cr.overflowStalls = u64Of(v["overflowStalls"]);
-    cr.specWindows = u64Of(v["specWindows"]);
-    cr.specWindowInsts = u64Of(v["specWindowInsts"]);
-    cr.specSlowSteps = u64Of(v["specSlowSteps"]);
-    cr.specFastMem = u64Of(v["specFastMem"]);
-    cr.sigHits = u64Of(v["sigHits"]);
-    cr.sigFalsePositives = u64Of(v["sigFalsePositives"]);
-    cr.forwardedLoads = u64Of(v["forwardedLoads"]);
-    cr.meanBurst = v["meanBurst"].number();
-    cr.wallMs = v["wallMs"].number();
+#define JRPM_WIRE_IN(type, member, from, pct)                                \
+    cr.member = fieldOf<type>(v[#member]);
+    JRPM_CASE_TELEMETRY(JRPM_WIRE_IN)
+#undef JRPM_WIRE_IN
 
     const JsonValue &sc = v["squashCauses"];
     if (sc.kind != JsonValue::Kind::Array ||
         sc.items.size() != kNumSquashCauses)
         return fail("bad squashCauses array");
     for (std::size_t c = 0; c < kNumSquashCauses; ++c)
-        cr.squashCauses[c] = u64Of(sc.at(c));
+        cr.squashCauses[c] = fieldOf<std::uint64_t>(sc.at(c));
     const JsonValue &vc = v["violationsByClass"];
     if (vc.kind != JsonValue::Kind::Array ||
         vc.items.size() != kNumAddrClasses)
         return fail("bad violationsByClass array");
     for (std::size_t c = 0; c < kNumAddrClasses; ++c)
-        cr.violationsByClass[c] = u64Of(vc.at(c));
+        cr.violationsByClass[c] = fieldOf<std::uint64_t>(vc.at(c));
     const JsonValue &ls = v["loopSquashes"];
     if (ls.kind != JsonValue::Kind::Array)
         return fail("bad loopSquashes array");
@@ -157,19 +121,10 @@ caseResultFromJson(const std::string &text, forge::CaseResult &out,
         if (pair.kind != JsonValue::Kind::Array ||
             pair.items.size() != 2)
             return fail("bad loopSquashes pair");
-        cr.loopSquashes.emplace_back(
-            static_cast<std::int32_t>(pair.at(0).number()),
-            u64Of(pair.at(1)));
+        cr.loopSquashes.emplace_back(fieldOf<std::int32_t>(pair.at(0)),
+                                     fieldOf<std::uint64_t>(pair.at(1)));
     }
 
-    cr.governorAborts = u64Of(v["governorAborts"]);
-    cr.soloEntries = u64Of(v["soloEntries"]);
-    cr.stlEntries = u64Of(v["stlEntries"]);
-    cr.syncLockPlans =
-        static_cast<std::uint32_t>(v["syncLockPlans"].number());
-    cr.multilevelPlans =
-        static_cast<std::uint32_t>(v["multilevelPlans"].number());
-    cr.demoted = v["demoted"].boolean();
     if (v["sigHash"].kind == JsonValue::Kind::String) {
         end = nullptr;
         cr.sigHash =

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstdio>
-#include <functional>
-
 #include <map>
 #include <unordered_set>
 
 #include "common/hostprof.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/metrics.hh"
 #include "core/oracle.hh"
@@ -39,9 +37,29 @@ digestOf(const RunOutcome &o)
     return d;
 }
 
+std::uint64_t
+soloEntriesOf(const JrpmReport &rep)
+{
+    std::uint64_t n = 0;
+    for (const auto &[loop_id, ls] : rep.tls.stl)
+        n += ls.soloEntries;
+    return n;
+}
+
+std::uint32_t
+plansWith(const JrpmReport &rep, bool OptPlan::*flag)
+{
+    std::uint32_t n = 0;
+    for (const SelectedStl &sel : rep.selections)
+        n += sel.plan.*flag;
+    return n;
+}
+
+} // namespace
+
 CaseResult
-runCaseImpl(const ScenarioSpec &spec, const JrpmConfig &base,
-            bool forced_sweep, JrpmReport *rep_out)
+runCase(const ScenarioSpec &spec, const JrpmConfig &base,
+        bool forced_sweep, JrpmReport *rep_out)
 {
     CaseResult cr;
     cr.seed = spec.seed;
@@ -64,37 +82,15 @@ runCaseImpl(const ScenarioSpec &spec, const JrpmConfig &base,
 
     // Telemetry capsule: what the TLS run did, for campaign-level
     // aggregation (percentiles, squash-cause tables, top loops).
-    cr.speedup = rep.actualSpeedup;
-    cr.seqCycles = rep.seqMain.cycles;
-    cr.tlsCycles = rep.tls.cycles;
     const ExecStats &st = rep.tls.stats;
-    cr.violations = st.violations;
-    cr.commits = st.commits;
-    cr.overflowStalls = st.bufferOverflowStalls;
-    cr.specWindows = st.burstSpans.count;
-    cr.specWindowInsts = st.burstSpans.sum;
-    cr.specSlowSteps = st.specSlowSteps;
-    cr.specFastMem = st.specFastMem;
-    cr.sigHits = st.sigHits;
-    cr.sigFalsePositives = st.sigFalsePositives;
-    cr.forwardedLoads = st.forwardedLoads;
-    cr.meanBurst = st.burstSpans.mean();
+#define JRPM_CASE_CAPTURE(type, member, from, pct) cr.member = from;
+    JRPM_CASE_TELEMETRY(JRPM_CASE_CAPTURE)
+#undef JRPM_CASE_CAPTURE
     cr.squashCauses = st.squashCauses;
     cr.violationsByClass = st.violationsByClass;
-    cr.governorAborts = st.governorAborts;
-    cr.stlEntries = st.stlEntries;
-    for (const auto &[loop_id, ls] : rep.tls.stl) {
+    for (const auto &[loop_id, ls] : rep.tls.stl)
         if (const std::uint64_t sq = ls.totalSquashes())
             cr.loopSquashes.emplace_back(loop_id, sq);
-        cr.soloEntries += ls.soloEntries;
-    }
-    for (const SelectedStl &sel : rep.selections) {
-        if (sel.plan.syncLock)
-            ++cr.syncLockPlans;
-        if (sel.plan.multilevel)
-            ++cr.multilevelPlans;
-    }
-    cr.demoted = rep.demoted;
 
     const bool resultDiffers =
         rep.tls.halted != rep.seqMain.halted ||
@@ -138,8 +134,6 @@ runCaseImpl(const ScenarioSpec &spec, const JrpmConfig &base,
     return cr;
 }
 
-} // namespace
-
 bool
 CaseResult::failing(bool faults_active) const
 {
@@ -150,28 +144,14 @@ CaseResult::failing(bool faults_active) const
     return pipelineDiverged || forcedDiverged > 0;
 }
 
-CaseResult
-runCase(const ScenarioSpec &spec, const JrpmConfig &base,
-        bool forced_sweep)
-{
-    return runCaseImpl(spec, base, forced_sweep, nullptr);
-}
-
-CaseResult
-runCase(const ScenarioSpec &spec, const JrpmConfig &base,
-        bool forced_sweep, JrpmReport *rep_out)
-{
-    return runCaseImpl(spec, base, forced_sweep, rep_out);
-}
-
 namespace
 {
 
 /**
  * First semantic difference between the fast-path-on and -off
  * pipeline reports of one scenario ("" when equivalent).  Excludes
- * exactly the dispatch-shape telemetry — burstSpans, specSlowSteps,
- * specFastMem, sigHits, sigFalsePositives — which counts how the
+ * exactly the dispatch-shape telemetry — the ExecStats rows whose
+ * `diff` column is false (cpu/stats.hh) — which counts how the
  * simulator stepped and legitimately differs between the two modes.
  * Everything observable about the simulated machine must match
  * bit-for-bit: cycle/instruction counts, the Fig. 10 buckets (double
@@ -222,40 +202,26 @@ semanticDiff(const JrpmReport &on, const JrpmReport &off)
 
     const ExecStats &sa = a.stats;
     const ExecStats &sb = b.stats;
-    num("stats.serial", sa.serial, sb.serial);
-    num("stats.runUsed", sa.runUsed, sb.runUsed);
-    num("stats.waitUsed", sa.waitUsed, sb.waitUsed);
-    num("stats.overhead", sa.overhead, sb.overhead);
-    num("stats.runViolated", sa.runViolated, sb.runViolated);
-    num("stats.waitViolated", sa.waitViolated, sb.waitViolated);
-    u64("stats.violations", sa.violations, sb.violations);
-    u64("stats.violationAddrsDropped", sa.violationAddrsDropped,
-        sb.violationAddrsDropped);
+#define JRPM_DIFF_BUCKET(m) num("stats." #m, sa.m, sb.m);
+#define JRPM_DIFF_SCALAR(path, metric, key, diff)                            \
+    if (diff)                                                                \
+        u64("stats." #path, sa.path, sb.path);
+#define JRPM_DIFF_HIST(m, key, diff)                                         \
+    if (diff)                                                                \
+        hist("stats." #m, sa.m, sb.m);
+#define JRPM_DIFF_CAUSES(m, n, name, metric, key, diff)                      \
+    if (diff)                                                                \
+        for (std::size_t c = 0; c < n; ++c)                                  \
+            u64(strfmt("stats." #m "[%s]", name(c)).c_str(), sa.m[c],      \
+                sb.m[c]);
+    JRPM_EXEC_STATS(JRPM_DIFF_BUCKET, JRPM_DIFF_SCALAR, JRPM_DIFF_SCALAR,
+                    JRPM_DIFF_HIST, JRPM_DIFF_CAUSES)
+#undef JRPM_DIFF_BUCKET
+#undef JRPM_DIFF_SCALAR
+#undef JRPM_DIFF_HIST
+#undef JRPM_DIFF_CAUSES
     if (d.empty() && sa.violationAddrs != sb.violationAddrs)
         d = "stats.violationAddrs differs";
-    u64("stats.commits", sa.commits, sb.commits);
-    u64("stats.stlEntries", sa.stlEntries, sb.stlEntries);
-    u64("stats.bufferOverflowStalls", sa.bufferOverflowStalls,
-        sb.bufferOverflowStalls);
-    u64("stats.watchdogFires", sa.watchdogFires, sb.watchdogFires);
-    u64("stats.governorAborts", sa.governorAborts,
-        sb.governorAborts);
-    u64("stats.violationsSuppressed", sa.violationsSuppressed,
-        sb.violationsSuppressed);
-    u64("stats.forwardedLoads", sa.forwardedLoads,
-        sb.forwardedLoads);
-    hist("stats.forwardDistance", sa.forwardDistance,
-         sb.forwardDistance);
-    hist("stats.storeBufOccupancy", sa.storeBufOccupancy,
-         sb.storeBufOccupancy);
-    for (std::size_t c = 0; c < kNumSquashCauses; ++c)
-        u64(strfmt("stats.squashCauses[%s]", squashCauseName(c))
-                .c_str(),
-            sa.squashCauses[c], sb.squashCauses[c]);
-    for (std::size_t c = 0; c < kNumAddrClasses; ++c)
-        u64(strfmt("stats.violationsByClass[%s]", addrClassName(c))
-                .c_str(),
-            sa.violationsByClass[c], sb.violationsByClass[c]);
     return d;
 }
 
@@ -275,10 +241,9 @@ runFastPathDifferential(const CampaignConfig &cfg)
     for (std::uint32_t i = 0; i < cfg.cases; ++i) {
         const ScenarioSpec spec = generate(cfg.seed + i, cfg.axes);
         JrpmReport ron, roff;
-        const CaseResult con =
-            runCaseImpl(spec, onCfg, cfg.forcedSweep, &ron);
+        const CaseResult con = runCase(spec, onCfg, cfg.forcedSweep, &ron);
         const CaseResult coff =
-            runCaseImpl(spec, offCfg, cfg.forcedSweep, &roff);
+            runCase(spec, offCfg, cfg.forcedSweep, &roff);
 
         res.fastMemRetired += ron.tls.stats.specFastMem;
         res.sigHits += ron.tls.stats.sigHits;
@@ -395,8 +360,8 @@ runBatch(const CampaignConfig &cfg,
             static_cast<unsigned long long>(specs[slot].seed));
         jobs[i].custom = [&cfg, &specs, &out, slot]() {
             JrpmReport rep;
-            out[slot] = runCaseImpl(specs[slot], cfg.base,
-                                    cfg.forcedSweep, &rep);
+            out[slot] =
+                runCase(specs[slot], cfg.base, cfg.forcedSweep, &rep);
             return rep;
         };
     }
@@ -553,29 +518,22 @@ distillCampaign(const CampaignConfig &cfg, const CampaignResult &res,
 namespace
 {
 
-std::string
-pctJson(const PercentileSummary &s)
-{
-    return strfmt("{\"n\":%" PRIu64 ",\"min\":%.17g,\"p50\":%.17g,"
-                  "\"p90\":%.17g,\"p99\":%.17g,\"p999\":%.17g,"
-                  "\"max\":%.17g,\"mean\":%.17g}",
-                  s.n, s.min, s.p50, s.p90, s.p99, s.p999, s.max,
-                  s.mean);
-}
-
 /** Percentiles of @p pick over the completed cases in @p results
  *  (optionally only those touching axis bit @p axis_bit). */
-std::string
-casePctJson(const std::vector<CaseResult> &results,
-            const std::function<double(const CaseResult &)> &pick,
-            std::uint32_t axis_bit = 0)
+void
+casePctJson(JsonWriter &w, const std::vector<CaseResult> &results,
+            double (*pick)(const CaseResult &), std::uint32_t axis_bit)
 {
     std::vector<double> xs;
     xs.reserve(results.size());
     for (const CaseResult &cr : results)
         if (cr.ok && (!axis_bit || (cr.axes & axis_bit)))
             xs.push_back(pick(cr));
-    return pctJson(summarizePercentiles(std::move(xs)));
+    const PercentileSummary s = summarizePercentiles(std::move(xs));
+    w.beginObject().field("n", s.n).field("min", s.min);
+    w.field("p50", s.p50).field("p90", s.p90).field("p99", s.p99);
+    w.field("p999", s.p999).field("max", s.max).field("mean", s.mean);
+    w.endObject();
 }
 
 } // namespace
@@ -584,125 +542,48 @@ std::string
 campaignAnalyticsJson(const CampaignConfig &cfg,
                       const CampaignResult &res)
 {
-    std::string j = "{";
-    j += "\"schema\":\"jrpm-campaign-analytics-v1\",";
-    j += strfmt("\"seed\":\"%016llx\",\"axes\":%u,",
-                static_cast<unsigned long long>(cfg.seed),
-                cfg.axes);
-    j += strfmt("\"cases\":%u,\"failures\":%u,\"pipelineErrors\":%u,"
-                "\"divergences\":%u,\"oracleDetected\":%u,"
-                "\"watchdogs\":%u,\"forcedRuns\":%" PRIu64
-                ",\"distinctSignatures\":%u,",
-                res.cases, res.failures, res.pipelineErrors,
-                res.divergences, res.oracleDetected, res.watchdogs,
-                res.forcedRuns, res.distinctSignatures);
+    JsonWriter w;
+    w.beginObject().field("schema", "jrpm-campaign-analytics-v1");
+    w.field("seed", strfmt("%016" PRIx64, cfg.seed));
+    w.field("axes", cfg.axes).field("cases", res.cases);
+    w.field("failures", res.failures);
+    w.field("pipelineErrors", res.pipelineErrors);
+    w.field("divergences", res.divergences);
+    w.field("oracleDetected", res.oracleDetected);
+    w.field("watchdogs", res.watchdogs).field("forcedRuns", res.forcedRuns);
+    w.field("distinctSignatures", res.distinctSignatures);
 
-    // Per-metric percentiles over every completed case.
-    struct Metric
-    {
-        const char *name;
-        double (*pick)(const CaseResult &);
-    };
-    static const Metric kMetrics[] = {
-        {"speedup", [](const CaseResult &c) { return c.speedup; }},
-        {"seqCycles",
-         [](const CaseResult &c) {
-             return static_cast<double>(c.seqCycles);
-         }},
-        {"tlsCycles",
-         [](const CaseResult &c) {
-             return static_cast<double>(c.tlsCycles);
-         }},
-        {"violations",
-         [](const CaseResult &c) {
-             return static_cast<double>(c.violations);
-         }},
-        {"commits",
-         [](const CaseResult &c) {
-             return static_cast<double>(c.commits);
-         }},
-        {"overflowStalls",
-         [](const CaseResult &c) {
-             return static_cast<double>(c.overflowStalls);
-         }},
-        {"specWindows",
-         [](const CaseResult &c) {
-             return static_cast<double>(c.specWindows);
-         }},
-        {"specWindowInsts",
-         [](const CaseResult &c) {
-             return static_cast<double>(c.specWindowInsts);
-         }},
-        {"specSlowSteps",
-         [](const CaseResult &c) {
-             return static_cast<double>(c.specSlowSteps);
-         }},
-        {"specFastMem",
-         [](const CaseResult &c) {
-             return static_cast<double>(c.specFastMem);
-         }},
-        {"sigHits",
-         [](const CaseResult &c) {
-             return static_cast<double>(c.sigHits);
-         }},
-        {"sigFalsePositives",
-         [](const CaseResult &c) {
-             return static_cast<double>(c.sigFalsePositives);
-         }},
-        {"forwardedLoads",
-         [](const CaseResult &c) {
-             return static_cast<double>(c.forwardedLoads);
-         }},
-        {"meanBurst",
-         [](const CaseResult &c) { return c.meanBurst; }},
-        {"wallMs", [](const CaseResult &c) { return c.wallMs; }},
-    };
-    j += "\"metrics\":{";
-    bool first = true;
-    for (const Metric &m : kMetrics) {
-        if (!first)
-            j += ',';
-        first = false;
-        j += strfmt("\"%s\":%s", m.name,
-                    casePctJson(res.results, m.pick).c_str());
-    }
-    j += "},";
+    // Per-metric percentiles over every completed case (touching
+    // axis bit `bit`, when non-zero).
+#define JRPM_FIELD_PCT(member, bit)                                          \
+    casePctJson(w.key(#member), res.results,                                 \
+                [](const CaseResult &c) {                                    \
+                    return static_cast<double>(c.member);                    \
+                },                                                           \
+                bit);
+#define JRPM_CASE_PCT(type, member, from, pct)                               \
+    if (pct)                                                                 \
+        JRPM_FIELD_PCT(member, 0)
+    w.key("metrics").beginObject();
+    JRPM_CASE_TELEMETRY(JRPM_CASE_PCT)
+    w.endObject();
 
     // Per-axis breakdown: how scenarios touching each stress axis
     // behave (axis sets overlap; a scenario counts on every axis it
     // exercises).
-    j += "\"perAxis\":{";
-    first = true;
+    w.key("perAxis").beginObject();
     for (std::uint32_t a = 0; a < kNumAxes; ++a) {
         const std::uint32_t bit = 1u << a;
-        if (!first)
-            j += ',';
-        first = false;
-        j += strfmt(
-            "\"%s\":{\"cases\":%u,\"speedup\":%s,\"violations\":%s,"
-            "\"specSlowSteps\":%s}",
-            axisName(static_cast<StressAxis>(bit)),
-            res.axisScenarios[a],
-            casePctJson(
-                res.results,
-                [](const CaseResult &c) { return c.speedup; }, bit)
-                .c_str(),
-            casePctJson(
-                res.results,
-                [](const CaseResult &c) {
-                    return static_cast<double>(c.violations);
-                },
-                bit)
-                .c_str(),
-            casePctJson(
-                res.results,
-                [](const CaseResult &c) {
-                    return static_cast<double>(c.specSlowSteps);
-                },
-                bit)
-                .c_str());
+        w.key(axisName(static_cast<StressAxis>(bit))).beginObject();
+        w.field("cases", res.axisScenarios[a]);
+        JRPM_FIELD_PCT(speedup, bit)
+        JRPM_FIELD_PCT(violations, bit)
+        JRPM_FIELD_PCT(specSlowSteps, bit)
+        w.endObject();
     }
-    j += "},";
+    w.endObject();
+#undef JRPM_CASE_PCT
+#undef JRPM_FIELD_PCT
 
     // Aggregate squash-cause and variable-class tallies.
     std::array<std::uint64_t, kNumSquashCauses> causes{};
@@ -713,24 +594,13 @@ campaignAnalyticsJson(const CampaignConfig &cfg,
         for (std::size_t c = 0; c < kNumAddrClasses; ++c)
             classes[c] += cr.violationsByClass[c];
     }
-    j += "\"squashCauses\":{";
-    first = true;
-    for (std::size_t c = 0; c < kNumSquashCauses; ++c) {
-        if (!first)
-            j += ',';
-        first = false;
-        j += strfmt("\"%s\":%" PRIu64, squashCauseName(c),
-                    causes[c]);
-    }
-    j += "},\"violationsByClass\":{";
-    first = true;
-    for (std::size_t c = 0; c < kNumAddrClasses; ++c) {
-        if (!first)
-            j += ',';
-        first = false;
-        j += strfmt("\"%s\":%" PRIu64, addrClassName(c), classes[c]);
-    }
-    j += "},";
+    w.key("squashCauses").beginObject();
+    for (std::size_t c = 0; c < kNumSquashCauses; ++c)
+        w.field(squashCauseName(c), causes[c]);
+    w.endObject().key("violationsByClass").beginObject();
+    for (std::size_t c = 0; c < kNumAddrClasses; ++c)
+        w.field(addrClassName(c), classes[c]);
+    w.endObject();
 
     // Top squash-cause loops across the whole campaign: which
     // (scenario, loop) pairs burned the most speculative work.
@@ -754,38 +624,32 @@ campaignAnalyticsJson(const CampaignConfig &cfg,
               });
     if (top.size() > 20)
         top.resize(20);
-    j += "\"topSquashLoops\":[";
-    first = true;
+    w.key("topSquashLoops").beginArray();
     for (const LoopSquash &ls : top) {
-        if (!first)
-            j += ',';
-        first = false;
-        j += strfmt("{\"seed\":\"%016llx\",\"loopId\":%d,"
-                    "\"squashes\":%" PRIu64 "}",
-                    static_cast<unsigned long long>(ls.seed),
-                    ls.loopId, ls.squashes);
+        w.beginObject().field("seed", strfmt("%016" PRIx64, ls.seed));
+        w.field("loopId", ls.loopId).field("squashes", ls.squashes);
+        w.endObject();
     }
-    j += "],";
+    w.endArray();
 
     // Crash-isolation tallies from the fleet orchestrator (absent
     // for in-process campaigns, so old readers see no change).
     if (res.fleet.active) {
         const FleetTallies &ft = res.fleet;
-        j += strfmt("\"fleet\":{\"resumed\":%s,\"workerDeaths\":%u,"
-                    "\"crashes\":%u,\"timeouts\":%u,\"retries\":%u,"
-                    "\"quarantined\":%u,\"reshards\":%u,"
-                    "\"tornRecords\":%u},",
-                    ft.resumed ? "true" : "false", ft.workerDeaths,
-                    ft.crashes, ft.timeouts, ft.retries,
-                    ft.quarantined, ft.reshards, ft.tornRecords);
+        w.key("fleet").beginObject().field("resumed", ft.resumed);
+        w.field("workerDeaths", ft.workerDeaths);
+        w.field("crashes", ft.crashes).field("timeouts", ft.timeouts);
+        w.field("retries", ft.retries).field("quarantined", ft.quarantined);
+        w.field("reshards", ft.reshards);
+        w.field("tornRecords", ft.tornRecords).endObject();
     }
 
     // Host-cycle attribution of the campaign process (empty array
     // when the profiler is off or compiled out).
     if (hostprof::enabled())
         hostprof::flushThread();
-    j += strfmt("\"hostprof\":%s}", hostprof::reportJson().c_str());
-    return j;
+    w.key("hostprof").raw(hostprof::reportJson());
+    return w.endObject().take();
 }
 
 bool
@@ -793,17 +657,8 @@ writeCampaignAnalytics(const std::string &path,
                        const CampaignConfig &cfg,
                        const CampaignResult &res)
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        warn("cannot open analytics output '%s'", path.c_str());
-        return false;
-    }
-    const std::string j = campaignAnalyticsJson(cfg, res);
-    const bool ok =
-        std::fwrite(j.data(), 1, j.size(), f) == j.size() &&
-        std::fwrite("\n", 1, 1, f) == 1;
-    std::fclose(f);
-    return ok;
+    return writeTextFile(path, campaignAnalyticsJson(cfg, res) + '\n',
+                         "analytics");
 }
 
 std::string

@@ -62,6 +62,49 @@ struct CampaignConfig
     JrpmConfig base;
 };
 
+/**
+ * The telemetry capsule of a CaseResult: what the pipeline's TLS run
+ * did, for campaign-level aggregation.  One row per field,
+ * X(type, member, from, pct): `from` computes it from the pipeline
+ * report `rep`, whose TLS stats are `st` (helpers in campaign.cc);
+ * `pct` marks the fields campaign analytics summarises as percentiles.
+ * The struct, the capture in runCase, the analytics metric list and
+ * the fleet wire record are generated from it; the wire writes the
+ * pct rows, then the per-cause arrays, then the rest.
+ */
+#define JRPM_CASE_TELEMETRY(X)                                               \
+    /* seq / TLS cycles */                                                   \
+    X(double, speedup, rep.actualSpeedup, true)                              \
+    X(std::uint64_t, seqCycles, rep.seqMain.cycles, true)                    \
+    X(std::uint64_t, tlsCycles, rep.tls.cycles, true)                        \
+    X(std::uint64_t, violations, st.violations, true)                        \
+    X(std::uint64_t, commits, st.commits, true)                              \
+    X(std::uint64_t, overflowStalls, st.bufferOverflowStalls, true)          \
+    X(std::uint64_t, specWindows, st.burstSpans.count, true)                 \
+    X(std::uint64_t, specWindowInsts, st.burstSpans.sum, true)               \
+    X(std::uint64_t, specSlowSteps, st.specSlowSteps, true)                  \
+    X(std::uint64_t, specFastMem, st.specFastMem, true)                      \
+    X(std::uint64_t, sigHits, st.sigHits, true)                              \
+    X(std::uint64_t, sigFalsePositives, st.sigFalsePositives, true)          \
+    X(std::uint64_t, forwardedLoads, st.forwardedLoads, true)                \
+    /* insts per burst window */                                             \
+    X(double, meanBurst, st.burstSpans.mean(), true)                         \
+    /* host wall-clock of the whole case, stamped by the batch driver */     \
+    X(double, wallMs, 0.0, true)                                             \
+    /* governor blacklist events */                                          \
+    X(std::uint64_t, governorAborts, st.governorAborts, false)               \
+    /* solo-mode STL entries */                                              \
+    X(std::uint64_t, soloEntries, soloEntriesOf(rep), false)                 \
+    /* speculative region entries */                                         \
+    X(std::uint64_t, stlEntries, st.stlEntries, false)                       \
+    /* selections with syncLock / multilevel plans */                        \
+    X(std::uint32_t, syncLockPlans, plansWith(rep, &OptPlan::syncLock),     \
+      false)                                                                 \
+    X(std::uint32_t, multilevelPlans, plansWith(rep, &OptPlan::multilevel), \
+      false)                                                                 \
+    /* crystal entry demoted */                                              \
+    X(bool, demoted, rep.demoted, false)
+
 /** What one scenario did. */
 struct CaseResult
 {
@@ -78,32 +121,13 @@ struct CaseResult
     std::uint32_t faultsInjected = 0;
     std::string detail;          ///< first divergence summary
 
-    // --- telemetry capsule (observatory): the pipeline's TLS run ---
-    double speedup = 0;          ///< seq / TLS cycles
-    std::uint64_t seqCycles = 0;
-    std::uint64_t tlsCycles = 0;
-    std::uint64_t violations = 0;
-    std::uint64_t commits = 0;
-    std::uint64_t overflowStalls = 0;
-    std::uint64_t specWindows = 0;     ///< speculative burst windows
-    std::uint64_t specWindowInsts = 0; ///< insts retired in bursts
-    std::uint64_t specSlowSteps = 0;   ///< cycle-exact fallbacks
-    std::uint64_t specFastMem = 0;     ///< mem ops retired in-window
-    std::uint64_t sigHits = 0;         ///< signature probes that hit
-    std::uint64_t sigFalsePositives = 0; ///< hits with empty scans
-    std::uint64_t forwardedLoads = 0;
-    double meanBurst = 0;              ///< insts per burst window
+#define JRPM_CASE_DECLARE(type, member, ...) type member{};
+    JRPM_CASE_TELEMETRY(JRPM_CASE_DECLARE)
+#undef JRPM_CASE_DECLARE
     std::array<std::uint64_t, kNumSquashCauses> squashCauses{};
     std::array<std::uint64_t, kNumAddrClasses> violationsByClass{};
     /** (loopId, squash events) for every squashing loop. */
     std::vector<std::pair<std::int32_t, std::uint64_t>> loopSquashes;
-    std::uint64_t governorAborts = 0;  ///< governor blacklist events
-    std::uint64_t soloEntries = 0;     ///< solo-mode STL entries
-    std::uint64_t stlEntries = 0;      ///< speculative region entries
-    std::uint32_t syncLockPlans = 0;   ///< selections with syncLock
-    std::uint32_t multilevelPlans = 0; ///< selections with multilevel
-    bool demoted = false;              ///< crystal entry demoted
-    double wallMs = 0;                 ///< host wall-clock, whole case
     /** BehaviourSignature::hash() of this case (signature.hh); the
      *  coverage coordinate for guided campaigns and distillation. */
     std::uint64_t sigHash = 0;
@@ -168,14 +192,11 @@ struct CampaignResult
 };
 
 /** Run one scenario through the pipeline (+ forced sweep) and
- *  classify it.  Exposed for the shrinker predicate and tests. */
+ *  classify it.  Exposed for the shrinker predicate and tests.
+ *  @param rep_out if set, receives the full pipeline report (the
+ *         fast-path differential harness compares two of them) */
 CaseResult runCase(const ScenarioSpec &spec, const JrpmConfig &base,
-                   bool forced_sweep);
-
-/** As above, but also hand back the full pipeline report (the
- *  fast-path differential harness compares two of them). */
-CaseResult runCase(const ScenarioSpec &spec, const JrpmConfig &base,
-                   bool forced_sweep, JrpmReport *rep_out);
+                   bool forced_sweep, JrpmReport *rep_out = nullptr);
 
 /** One scenario whose fast-path-on and fast-path-off runs differed. */
 struct DifferentialMismatch

@@ -458,7 +458,9 @@ MethodCompiler::onceEveryIteration(const JitLoop &loop,
         }
     }
     for (std::int32_t latch : loop.latches) {
-        std::uint8_t s = in[latch] == Unseen ? Zero : in[latch];
+        std::uint8_t s =
+            in[latch] == Unseen ? static_cast<std::uint8_t>(Zero)
+                                : in[latch];
         if (latch == at)
             s = s == Zero ? One : Varies;
         if (s != One)

@@ -1,8 +1,6 @@
 #include "cache.hh"
 
-#include <cinttypes>
-
-#include "common/logging.hh"
+#include "common/json.hh"
 
 namespace jrpm
 {
@@ -31,24 +29,25 @@ WarmCache::applyTo(JrpmConfig &jc,
         jc.crystal.admitMinPredicted = cfg.admitMinPredicted;
 }
 
-std::string
-WarmCache::statsJson() const
+void
+WarmCache::statsJson(JsonWriter &w) const
 {
-    if (!repoOwned)
-        return "{\"enabled\":false}";
-    const CrystalStats s = repoOwned->stats();
-    const std::uint64_t lookups = s.hits + s.misses;
-    return strfmt(
-        "{\"enabled\":true,\"capacity\":%zu,\"entries\":%zu,"
-        "\"hits\":%" PRIu64 ",\"misses\":%" PRIu64
-        ",\"hitRate\":%.4f,\"stores\":%" PRIu64
-        ",\"invalidations\":%" PRIu64 ",\"rejects\":%" PRIu64
-        ",\"evictions\":%" PRIu64 "}",
-        cfg.capacity, repoOwned->size(), s.hits, s.misses,
-        lookups ? static_cast<double>(s.hits) /
-                      static_cast<double>(lookups)
-                : 0.0,
-        s.stores, s.invalidations, s.rejects, s.evictions);
+    w.beginObject().field("enabled", enabled());
+    if (repoOwned) {
+        const CrystalStats s = repoOwned->stats();
+        const std::uint64_t lookups = s.hits + s.misses;
+        w.field("capacity", cfg.capacity);
+        w.field("entries", repoOwned->size());
+        w.field("hits", s.hits).field("misses", s.misses);
+        w.key("hitRate").fixed(lookups ? static_cast<double>(s.hits) /
+                                             static_cast<double>(lookups)
+                                       : 0.0,
+                               4);
+        w.field("stores", s.stores);
+        w.field("invalidations", s.invalidations);
+        w.field("rejects", s.rejects).field("evictions", s.evictions);
+    }
+    w.endObject();
 }
 
 } // namespace svc

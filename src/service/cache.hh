@@ -26,6 +26,7 @@
 #include <memory>
 #include <string>
 
+#include "common/json.hh"
 #include "core/jrpm.hh"
 #include "crystal/crystal.hh"
 
@@ -63,8 +64,9 @@ class WarmCache
     void applyTo(JrpmConfig &jc,
                  const std::string &warm_override) const;
 
-    /** Counters + policy as a JSON object for the stats frame. */
-    std::string statsJson() const;
+    /** Counters + policy as a JSON object value for the stats
+     *  frame. */
+    void statsJson(JsonWriter &w) const;
 
     const CacheConfig &config() const { return cfg; }
 

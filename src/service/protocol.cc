@@ -97,29 +97,26 @@ reqKindName(ReqKind kind)
 std::string
 requestJson(const Request &r)
 {
-    std::string j = strfmt(
-        "{\"v\":%u,\"id\":%" PRIu64 ",\"kind\":\"%s\"", r.version,
-        r.id, reqKindName(r.kind));
+    JsonWriter w;
+    w.beginObject().field("v", r.version).field("id", r.id);
+    w.field("kind", reqKindName(r.kind));
     if (r.kind == ReqKind::Submit) {
         if (!r.workload.empty())
-            j += strfmt(",\"workload\":\"%s\"",
-                        jsonEscape(r.workload).c_str());
+            w.field("workload", r.workload);
         if (r.haveSeed)
-            j += strfmt(",\"seed\":\"%016" PRIx64 "\"", r.seed);
+            w.field("seed", strfmt("%016" PRIx64, r.seed));
         if (r.axes != forge::kAllAxes)
-            j += strfmt(",\"axes\":%u", r.axes);
+            w.field("axes", r.axes);
         if (r.deadlineMs)
-            j += strfmt(",\"deadlineMs\":%u", r.deadlineMs);
+            w.field("deadlineMs", r.deadlineMs);
         if (!r.warm.empty())
-            j += strfmt(",\"warm\":\"%s\"",
-                        jsonEscape(r.warm).c_str());
+            w.field("warm", r.warm);
         if (r.debugSleepMs)
-            j += strfmt(",\"debugSleepMs\":%u", r.debugSleepMs);
+            w.field("debugSleepMs", r.debugSleepMs);
     }
     if (r.kind == ReqKind::Status || r.kind == ReqKind::Cancel)
-        j += strfmt(",\"target\":%" PRIu64, r.target);
-    j += "}";
-    return j;
+        w.field("target", r.target);
+    return w.endObject().take();
 }
 
 namespace
@@ -235,36 +232,41 @@ requestFromJson(const std::string &text, Request &out,
 
 // ---- responses --------------------------------------------------------
 
+namespace
+{
+
+JsonWriter
+response(std::uint64_t id, const char *kind, const char *status)
+{
+    JsonWriter w;
+    w.beginObject().field("v", kProtocolVersion).field("id", id);
+    w.field("kind", kind).field("status", status);
+    return w;
+}
+
+} // namespace
+
 std::string
 errorResponseJson(std::uint64_t id, const char *status,
                   const std::string &detail)
 {
-    return strfmt("{\"v\":%u,\"id\":%" PRIu64
-                  ",\"kind\":\"error\",\"status\":\"%s\","
-                  "\"detail\":\"%s\"}",
-                  kProtocolVersion, id, status,
-                  jsonEscape(detail).c_str());
+    JsonWriter w = response(id, "error", status);
+    return w.field("detail", detail).endObject().take();
 }
 
-std::string
-okResponseJson(std::uint64_t id, const std::string &extraFields)
+JsonWriter
+okResponse(std::uint64_t id)
 {
-    return strfmt("{\"v\":%u,\"id\":%" PRIu64
-                  ",\"kind\":\"ok\",\"status\":\"ok\"%s%s}",
-                  kProtocolVersion, id,
-                  extraFields.empty() ? "" : ",",
-                  extraFields.c_str());
+    return response(id, "ok", code::kOk);
 }
 
 std::string
 resultResponseJson(std::uint64_t id, const std::string &report_json,
                    double queue_ms, double run_ms)
 {
-    return strfmt("{\"v\":%u,\"id\":%" PRIu64
-                  ",\"kind\":\"result\",\"status\":\"ok\","
-                  "\"queueMs\":%.3f,\"runMs\":%.3f,\"report\":%s}",
-                  kProtocolVersion, id, queue_ms, run_ms,
-                  report_json.c_str());
+    JsonWriter w = response(id, "result", code::kOk);
+    w.key("queueMs").fixed(queue_ms, 3).key("runMs").fixed(run_ms, 3);
+    return w.key("report").raw(report_json).endObject().take();
 }
 
 // ---- blocking client --------------------------------------------------

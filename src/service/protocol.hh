@@ -165,8 +165,9 @@ constexpr const char *kError = "error";        ///< pipeline failed
 /** Build the standard response payloads (no frame prefix). */
 std::string errorResponseJson(std::uint64_t id, const char *status,
                               const std::string &detail);
-std::string okResponseJson(std::uint64_t id,
-                           const std::string &extraFields = "");
+/** An ok response with its object still open: add any extra
+ *  members, then endObject().take(). */
+JsonWriter okResponse(std::uint64_t id);
 /** A submit result: @p report_json is embedded verbatim. */
 std::string resultResponseJson(std::uint64_t id,
                                const std::string &report_json,

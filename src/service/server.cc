@@ -487,8 +487,10 @@ struct JrpmService::Impl
             reply(conn, statsResponse(req.id));
             break;
           case ReqKind::Shutdown:
-            reply(conn, okResponseJson(req.id,
-                                       "\"note\":\"draining\""));
+            reply(conn, okResponse(req.id)
+                            .field("note", "draining")
+                            .endObject()
+                            .take());
             draining.store(true);
             break;
         }
@@ -583,11 +585,11 @@ struct JrpmService::Impl
                 }
             }
         }
-        reply(conn,
-              okResponseJson(
-                  req.id, strfmt("\"target\":%" PRIu64
-                                 ",\"state\":\"%s\"",
-                                 req.target, phase)));
+        reply(conn, okResponse(req.id)
+                        .field("target", req.target)
+                        .field("state", phase)
+                        .endObject()
+                        .take());
     }
 
     void
@@ -610,9 +612,10 @@ struct JrpmService::Impl
             return;
         }
         state->token.cancel();
-        reply(conn, okResponseJson(
-                        req.id,
-                        strfmt("\"target\":%" PRIu64, req.target)));
+        reply(conn, okResponse(req.id)
+                        .field("target", req.target)
+                        .endObject()
+                        .take());
     }
 
     std::string
@@ -624,30 +627,25 @@ struct JrpmService::Impl
             std::lock_guard<std::mutex> lk(mu);
             c = ctr;
         }
-        const double upMs = msSince(startedAt);
-        std::string extra = strfmt(
-            "\"uptimeMs\":%.0f,\"workers\":%u,"
-            "\"connections\":{\"accepted\":%" PRIu64
-            ",\"open\":%" PRIu64 "},"
-            "\"requests\":{\"decoded\":%" PRIu64
-            ",\"submitted\":%" PRIu64 ",\"results\":%" PRIu64
-            ",\"inflight\":%" PRIu64 ",\"rejectedBusy\":%" PRIu64
-            ",\"rejectedShutdown\":%" PRIu64
-            ",\"protocolErrors\":%" PRIu64
-            ",\"cancelled\":%" PRIu64
-            ",\"pipelineErrors\":%" PRIu64 "},"
-            "\"scheduler\":{\"submitted\":%" PRIu64
-            ",\"executed\":%" PRIu64 ",\"steals\":%" PRIu64
-            ",\"taskFaults\":%" PRIu64 ",\"queued\":%" PRIu64
-            ",\"inflight\":%" PRIu64 "},"
-            "\"cache\":%s",
-            upMs, ss.workers, c.connectionsAccepted,
-            c.connectionsOpen, c.requests, c.submits, c.results,
-            c.inflight, c.rejectedBusy, c.rejectedShutdown,
-            c.protocolErrors, c.cancelled, c.pipelineErrors,
-            ss.submitted, ss.executed, ss.steals, ss.taskFaults,
-            ss.queued, ss.inflight, cache.statsJson().c_str());
-        return okResponseJson(id, extra);
+        JsonWriter w = okResponse(id);
+        w.key("uptimeMs").fixed(msSince(startedAt), 0);
+        w.field("workers", ss.workers).key("connections").beginObject();
+        w.field("accepted", c.connectionsAccepted);
+        w.field("open", c.connectionsOpen).endObject();
+        w.key("requests").beginObject().field("decoded", c.requests);
+        w.field("submitted", c.submits).field("results", c.results);
+        w.field("inflight", c.inflight);
+        w.field("rejectedBusy", c.rejectedBusy);
+        w.field("rejectedShutdown", c.rejectedShutdown);
+        w.field("protocolErrors", c.protocolErrors);
+        w.field("cancelled", c.cancelled);
+        w.field("pipelineErrors", c.pipelineErrors).endObject();
+        w.key("scheduler").beginObject().field("submitted", ss.submitted);
+        w.field("executed", ss.executed).field("steals", ss.steals);
+        w.field("taskFaults", ss.taskFaults).field("queued", ss.queued);
+        w.field("inflight", ss.inflight).endObject();
+        cache.statsJson(w.key("cache"));
+        return w.endObject().take();
     }
 
     // ---- worker side --------------------------------------------------
@@ -677,10 +675,12 @@ struct JrpmService::Impl
                 // a pipeline (deterministic backpressure tests).
                 std::this_thread::sleep_for(
                     std::chrono::milliseconds(req.debugSleepMs));
-                frame = okResponseJson(
-                    req.id, strfmt("\"sleptMs\":%u,"
-                                   "\"queueMs\":%.3f",
-                                   req.debugSleepMs, queueMs));
+                frame = okResponse(req.id)
+                            .field("sleptMs", req.debugSleepMs)
+                            .key("queueMs")
+                            .fixed(queueMs, 3)
+                            .endObject()
+                            .take();
             } else {
                 try {
                     ScopedFatalCapture capture;

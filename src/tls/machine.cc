@@ -932,9 +932,9 @@ Machine::execInst(Core &c, const Inst &inst)
       case Op::ADDU: wr(inst.rd, r[inst.rs] + r[inst.rt]); break;
       case Op::SUBU: wr(inst.rd, r[inst.rs] - r[inst.rt]); break;
       case Op::MUL:
-        wr(inst.rd, static_cast<Word>(
-            static_cast<SWord>(r[inst.rs]) *
-            static_cast<SWord>(r[inst.rt])));
+        // The low 32 bits are the same signed or unsigned; the
+        // unsigned product wraps where a signed one would overflow.
+        wr(inst.rd, r[inst.rs] * r[inst.rt]);
         break;
       case Op::DIV:
       case Op::REM: {
@@ -2370,135 +2370,39 @@ Machine::l1Misses() const
 void
 Machine::publishMetrics(MetricsRegistry &reg) const
 {
-    // Pre-resolved handles only for the (immortal) global registry:
-    // a private registry can die and a successor can reuse its
-    // address, which would falsely validate cached pointers.
-    if (&reg != &MetricsRegistry::global()) {
-        reg.counter("tls.cycles").inc(cycle);
-        reg.counter("tls.insts").inc(nInsts);
-        reg.counter("tls.mem_ops").inc(nMemOps);
-        reg.counter("tls.stl_entries").inc(execStats.stlEntries);
-        reg.counter("tls.commits").inc(execStats.commits);
-        reg.counter("tls.violations").inc(execStats.violations);
-        reg.counter("tls.overflow_stalls")
-            .inc(execStats.bufferOverflowStalls);
-        reg.counter("tls.watchdog_fires")
-            .inc(execStats.watchdogFires);
-        reg.counter("tls.governor_aborts")
-            .inc(execStats.governorAborts);
-        reg.counter("tls.violations_suppressed")
-            .inc(execStats.violationsSuppressed);
-        reg.counter("tls.spec_windows").inc(execStats.burstSpans.count);
-        reg.counter("tls.spec_window_insts")
-            .inc(execStats.burstSpans.sum);
-        reg.counter("tls.spec_slow_steps").inc(execStats.specSlowSteps);
-        reg.counter("tls.spec_fast_mem").inc(execStats.specFastMem);
-        reg.counter("tls.sig_hits").inc(execStats.sigHits);
-        reg.counter("tls.sig_false_positives")
-            .inc(execStats.sigFalsePositives);
-        reg.counter("tls.forwarded_loads").inc(execStats.forwardedLoads);
-        for (std::size_t i = 0; i < kNumSquashCauses; ++i)
-            reg.counter(std::string("tls.squash.") + squashCauseName(i))
-                .inc(execStats.squashCauses[i]);
-        for (std::size_t i = 0; i < kNumAddrClasses; ++i)
-            reg.counter(std::string("tls.violations_by_class.") +
-                        addrClassName(i))
-                .inc(execStats.violationsByClass[i]);
-        for (const auto &c : cores)
-            c.l1.publishMetrics(reg, strfmt("cache.l1.cpu%u", c.id));
-        l2.publishMetrics(reg, "cache.l2");
-        publishLoopMetrics(reg);
-        return;
-    }
-    MetricsHandles &h = metricsHandles;
-    if (h.reg != &reg) {
-        h.reg = &reg;
-        h.cycles = &reg.counter("tls.cycles");
-        h.insts = &reg.counter("tls.insts");
-        h.memOps = &reg.counter("tls.mem_ops");
-        h.stlEntries = &reg.counter("tls.stl_entries");
-        h.commits = &reg.counter("tls.commits");
-        h.violations = &reg.counter("tls.violations");
-        h.overflowStalls = &reg.counter("tls.overflow_stalls");
-        h.watchdogFires = &reg.counter("tls.watchdog_fires");
-        h.governorAborts = &reg.counter("tls.governor_aborts");
-        h.violationsSuppressed =
-            &reg.counter("tls.violations_suppressed");
-        h.l1HitMiss.clear();
-        for (const auto &c : cores) {
-            const std::string p = strfmt("cache.l1.cpu%u", c.id);
-            h.l1HitMiss.emplace_back(&reg.counter(p + ".hits"),
-                                     &reg.counter(p + ".misses"));
-        }
-        h.l2Hits = &reg.counter("cache.l2.hits");
-        h.l2Misses = &reg.counter("cache.l2.misses");
-        h.specWindows = &reg.counter("tls.spec_windows");
-        h.specWindowInsts = &reg.counter("tls.spec_window_insts");
-        h.specSlowSteps = &reg.counter("tls.spec_slow_steps");
-        h.specFastMem = &reg.counter("tls.spec_fast_mem");
-        h.sigHits = &reg.counter("tls.sig_hits");
-        h.sigFalsePositives = &reg.counter("tls.sig_false_positives");
-        h.forwardedLoads = &reg.counter("tls.forwarded_loads");
-        for (std::size_t i = 0; i < kNumSquashCauses; ++i)
-            h.squashCauses[i] = &reg.counter(
-                std::string("tls.squash.") + squashCauseName(i));
-        for (std::size_t i = 0; i < kNumAddrClasses; ++i)
-            h.violationsByClass[i] = &reg.counter(
-                std::string("tls.violations_by_class.") +
-                addrClassName(i));
-    }
-    h.cycles->inc(cycle);
-    h.insts->inc(nInsts);
-    h.memOps->inc(nMemOps);
-    h.stlEntries->inc(execStats.stlEntries);
-    h.commits->inc(execStats.commits);
-    h.violations->inc(execStats.violations);
-    h.overflowStalls->inc(execStats.bufferOverflowStalls);
-    h.watchdogFires->inc(execStats.watchdogFires);
-    h.governorAborts->inc(execStats.governorAborts);
-    h.violationsSuppressed->inc(execStats.violationsSuppressed);
-    for (std::size_t i = 0; i < cores.size(); ++i) {
-        h.l1HitMiss[i].first->inc(cores[i].l1.hits());
-        h.l1HitMiss[i].second->inc(cores[i].l1.misses());
-    }
-    h.l2Hits->inc(l2.hits());
-    h.l2Misses->inc(l2.misses());
-    h.specWindows->inc(execStats.burstSpans.count);
-    h.specWindowInsts->inc(execStats.burstSpans.sum);
-    h.specSlowSteps->inc(execStats.specSlowSteps);
-    h.specFastMem->inc(execStats.specFastMem);
-    h.sigHits->inc(execStats.sigHits);
-    h.sigFalsePositives->inc(execStats.sigFalsePositives);
-    h.forwardedLoads->inc(execStats.forwardedLoads);
-    for (std::size_t i = 0; i < kNumSquashCauses; ++i)
-        h.squashCauses[i]->inc(execStats.squashCauses[i]);
-    for (std::size_t i = 0; i < kNumAddrClasses; ++i)
-        h.violationsByClass[i]->inc(execStats.violationsByClass[i]);
-    publishLoopMetrics(reg);
-}
+    reg.counter("tls.cycles").inc(cycle);
+    reg.counter("tls.insts").inc(nInsts);
+    reg.counter("tls.mem_ops").inc(nMemOps);
+    for (const auto &c : cores)
+        c.l1.publishMetrics(reg, strfmt("cache.l1.cpu%u", c.id));
+    l2.publishMetrics(reg, "cache.l2");
 
-void
-Machine::publishLoopMetrics(MetricsRegistry &reg) const
-{
-    for (const auto &[loop, ls] : stlRuntime) {
-        const std::string p = strfmt("tls.loop%d", loop);
-        reg.counter(p + ".entries").inc(ls.entries);
-        reg.counter(p + ".commits").inc(ls.commits);
-        reg.counter(p + ".violations").inc(ls.violations);
-        reg.counter(p + ".overflow_stalls").inc(ls.overflowStalls);
-        reg.counter(p + ".solo_entries").inc(ls.soloEntries);
-        reg.counter(p + ".governor_aborts").inc(ls.governorAborts);
-        reg.counter(p + ".cycles_inside").inc(ls.cyclesInside);
-        reg.counter(p + ".slow_steps").inc(ls.slowSteps);
-        reg.counter(p + ".spec_fast_mem").inc(ls.specFastMem);
-        reg.counter(p + ".sig_hits").inc(ls.sigHits);
-        reg.counter(p + ".sig_false_positives")
-            .inc(ls.sigFalsePositives);
-        reg.counter(p + ".forwarded_loads").inc(ls.forwardedLoads);
-        reg.counter(p + ".burst_windows").inc(ls.burstSpans.count);
-        reg.counter(p + ".burst_insts").inc(ls.burstSpans.sum);
-        reg.histogram(p + ".thread_cycles").merge(ls.threadCycles);
+    std::string p = "tls.";
+#define JRPM_PUBLISH_COUNTER(path, metric, ...)                              \
+    if (metric[0])                                                           \
+        reg.counter(p + metric).inc(st.path);
+#define JRPM_PUBLISH_SAMPLES(m, metric)                                      \
+    if (metric[0])                                                           \
+        reg.histogram(p + metric).merge(st.m);
+#define JRPM_PUBLISH_CAUSES(m, n, name, metric, ...)                         \
+    if (metric[0])                                                           \
+        for (std::size_t i = 0; i < n; ++i)                                  \
+            reg.counter(p + metric + name(i)).inc(st.m[i]);
+    {
+        const ExecStats &st = execStats;
+        JRPM_EXEC_STATS(JRPM_STATS_SKIP, JRPM_PUBLISH_COUNTER,
+                        JRPM_PUBLISH_COUNTER, JRPM_STATS_SKIP,
+                        JRPM_PUBLISH_CAUSES)
     }
+    for (const auto &[loop, st] : stlRuntime) {
+        p = strfmt("tls.loop%d.", loop);
+        JRPM_STL_STATS(JRPM_PUBLISH_COUNTER, JRPM_PUBLISH_COUNTER,
+                       JRPM_PUBLISH_SAMPLES, JRPM_STATS_SKIP,
+                       JRPM_PUBLISH_CAUSES)
+    }
+#undef JRPM_PUBLISH_COUNTER
+#undef JRPM_PUBLISH_SAMPLES
+#undef JRPM_PUBLISH_CAUSES
 }
 
 } // namespace jrpm

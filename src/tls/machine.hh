@@ -188,10 +188,9 @@ class Machine
     std::uint64_t l2Hits() const { return l2.hits(); }
     std::uint64_t l2Misses() const { return l2.misses(); }
 
-    /** Register machine-level counters under "tls." / "cache.". */
+    /** Add this run's counters to @p reg under "tls." / "cache."
+     *  (per-STL ones under "tls.loop<id>."). */
     void publishMetrics(MetricsRegistry &reg) const;
-    /** Per-STL-loop counters (dynamic names; always slow path). */
-    void publishLoopMetrics(MetricsRegistry &reg) const;
 
     // ---- dependence telemetry (observatory) -------------------------
     /** One contiguous address range with a variable-class label. */
@@ -273,43 +272,6 @@ class Machine
 
     /** VM layout regions for classifyAddr (few entries; linear scan). */
     std::vector<AddrRegion> addrRegions;
-
-    /**
-     * Pre-resolved handles for the fixed-name machine counters.
-     * MetricsRegistry hands back lifetime-stable references, so the
-     * per-run publish pays plain atomic adds instead of one dotted-
-     * path map lookup per counter.  Resolved lazily against the
-     * registry actually passed to publishMetrics (tests use private
-     * registries); re-resolved if a different registry shows up.
-     */
-    struct MetricsHandles
-    {
-        MetricsRegistry *reg = nullptr;
-        Counter *cycles = nullptr;
-        Counter *insts = nullptr;
-        Counter *memOps = nullptr;
-        Counter *stlEntries = nullptr;
-        Counter *commits = nullptr;
-        Counter *violations = nullptr;
-        Counter *overflowStalls = nullptr;
-        Counter *watchdogFires = nullptr;
-        Counter *governorAborts = nullptr;
-        Counter *violationsSuppressed = nullptr;
-        std::vector<std::pair<Counter *, Counter *>> l1HitMiss;
-        Counter *l2Hits = nullptr;
-        Counter *l2Misses = nullptr;
-        // dependence telemetry
-        Counter *specWindows = nullptr;
-        Counter *specWindowInsts = nullptr;
-        Counter *specSlowSteps = nullptr;
-        Counter *specFastMem = nullptr;
-        Counter *sigHits = nullptr;
-        Counter *sigFalsePositives = nullptr;
-        Counter *forwardedLoads = nullptr;
-        std::array<Counter *, kNumSquashCauses> squashCauses{};
-        std::array<Counter *, kNumAddrClasses> violationsByClass{};
-    };
-    mutable MetricsHandles metricsHandles;
 
     // ---- event-horizon fast path ------------------------------------
     /** 1/numCpus, hoisted out of the per-cycle accounting. */

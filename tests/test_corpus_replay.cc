@@ -66,8 +66,9 @@ TEST_P(CorpusReplay, EveryEntryReplaysCleanly)
         const RunOutcome seq =
             sys.runSequential(w.mainArgs, false, nullptr);
         ASSERT_TRUE(seq.halted) << path;
-        if (e.haveExit)
+        if (e.haveExit) {
             EXPECT_EQ(seq.exitValue, e.expectedExit) << path;
+        }
 
         const forge::CaseResult cr =
             forge::runCase(e.spec, cfg, /*forced_sweep=*/true);

@@ -59,7 +59,7 @@ jobsFor(const std::vector<Workload> &ws, const JrpmConfig &cfg)
 {
     std::vector<DriverJob> jobs;
     for (const Workload &w : ws)
-        jobs.push_back({w, cfg});
+        jobs.push_back({w, cfg, {}});
     return jobs;
 }
 

@@ -23,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include "common/fault.hh"
+#include "common/hostprof.hh"
 #include "common/obs.hh"
 #include "fleet/fleet.hh"
 #include "fleet/manifest.hh"
@@ -150,10 +151,29 @@ expectSameCase(const forge::CaseResult &a, const forge::CaseResult &b)
     EXPECT_EQ(a.sigHash, b.sigHash);
 }
 
+// Pinned: the wire bytes of the sample case.  Manifests written by
+// older workers must stay readable, so the record format is fixed.
+const char *const kPinnedCaseJson =
+    "{\"seed\":\"deadbeefcafe1234\",\"axes\":421,\"stmts\":17,\"ok\":true,"
+    "\"error\":\"quote\\\" and \\\\slash\",\"pipelineDiverged\":true,"
+    "\"forcedLoops\":4,\"forcedDiverged\":1,\"watchdog\":true,"
+    "\"silent\":true,\"faultsInjected\":3,\"detail\":\"loop 2: mem["
+    "0x10] differs\",\"speedup\":1.75,\"seqCycles\":123456789,"
+    "\"tlsCycles\":987654321,\"violations\":42,\"commits\":17,"
+    "\"overflowStalls\":5,\"specWindows\":9,\"specWindowInsts\":9000,"
+    "\"specSlowSteps\":11,\"specFastMem\":4400,\"sigHits\":77,"
+    "\"sigFalsePositives\":13,\"forwardedLoads\":23,\"meanBurst\":812.5,"
+    "\"wallMs\":333.25,\"squashCauses\":[100,101,102,103,104],"
+    "\"violationsByClass\":[200,201,202,203,204],\"loopSquashes\":[[0,7],[3,"
+    "1]],\"governorAborts\":6,\"soloEntries\":2,\"stlEntries\":8,"
+    "\"syncLockPlans\":1,\"multilevelPlans\":2,\"demoted\":true,"
+    "\"sigHash\":\"abcdef0123456789\"}";
+
 TEST(FleetWire, CaseResultRoundTripsEveryField)
 {
     const forge::CaseResult in = sampleCase(0xdeadbeefcafe1234ull);
     const std::string json = fleet::caseResultJson(in);
+    EXPECT_EQ(json, kPinnedCaseJson);
     EXPECT_EQ(json.find('\n'), std::string::npos)
         << "wire records must be single lines";
 
@@ -161,6 +181,191 @@ TEST(FleetWire, CaseResultRoundTripsEveryField)
     std::string err;
     ASSERT_TRUE(fleet::caseResultFromJson(json, out, &err)) << err;
     expectSameCase(in, out);
+}
+
+// Pinned: the analytics document of a two-case campaign with the
+// host profiler off (every slot reads zero); scripts/obs_report.py
+// reads this format.
+const char *const kPinnedAnalyticsJson =
+    "{\"schema\":\"jrpm-campaign-analytics-v1\","
+    "\"seed\":\"0000000000005eed\",\"axes\":421,\"cases\":2,\"failures\":1,"
+    "\"pipelineErrors\":2,\"divergences\":3,\"oracleDetected\":4,"
+    "\"watchdogs\":5,\"forcedRuns\":6,\"distinctSignatures\":7,\"metrics\":{"
+    "\"speedup\":{\"n\":2,\"min\":0.80000000000000004,\"p50\":1.75,"
+    "\"p90\":1.75,\"p99\":1.75,\"p999\":1.75,\"max\":1.75,"
+    "\"mean\":1.2749999999999999},\"seqCycles\":{\"n\":2,\"min\":1000,"
+    "\"p50\":123456789,\"p90\":123456789,\"p99\":123456789,"
+    "\"p999\":123456789,\"max\":123456789,\"mean\":61728894.5},"
+    "\"tlsCycles\":{\"n\":2,\"min\":987654321,\"p50\":987654321,"
+    "\"p90\":987654321,\"p99\":987654321,\"p999\":987654321,"
+    "\"max\":987654321,\"mean\":987654321},\"violations\":{\"n\":2,\"min\":5,"
+    "\"p50\":42,\"p90\":42,\"p99\":42,\"p999\":42,\"max\":42,\"mean\":23.5},"
+    "\"commits\":{\"n\":2,\"min\":17,\"p50\":17,\"p90\":17,\"p99\":17,"
+    "\"p999\":17,\"max\":17,\"mean\":17},\"overflowStalls\":{\"n\":2,"
+    "\"min\":5,\"p50\":5,\"p90\":5,\"p99\":5,\"p999\":5,\"max\":5,"
+    "\"mean\":5},\"specWindows\":{\"n\":2,\"min\":9,\"p50\":9,\"p90\":9,"
+    "\"p99\":9,\"p999\":9,\"max\":9,\"mean\":9},\"specWindowInsts\":{\"n\":2,"
+    "\"min\":9000,\"p50\":9000,\"p90\":9000,\"p99\":9000,\"p999\":9000,"
+    "\"max\":9000,\"mean\":9000},\"specSlowSteps\":{\"n\":2,\"min\":3,"
+    "\"p50\":11,\"p90\":11,\"p99\":11,\"p999\":11,\"max\":11,\"mean\":7},"
+    "\"specFastMem\":{\"n\":2,\"min\":4400,\"p50\":4400,\"p90\":4400,"
+    "\"p99\":4400,\"p999\":4400,\"max\":4400,\"mean\":4400},\"sigHits\":{"
+    "\"n\":2,\"min\":77,\"p50\":77,\"p90\":77,\"p99\":77,\"p999\":77,"
+    "\"max\":77,\"mean\":77},\"sigFalsePositives\":{\"n\":2,\"min\":13,"
+    "\"p50\":13,\"p90\":13,\"p99\":13,\"p999\":13,\"max\":13,\"mean\":13},"
+    "\"forwardedLoads\":{\"n\":2,\"min\":23,\"p50\":23,\"p90\":23,\"p99\":23,"
+    "\"p999\":23,\"max\":23,\"mean\":23},\"meanBurst\":{\"n\":2,"
+    "\"min\":0.33333333333333331,\"p50\":812.5,\"p90\":812.5,\"p99\":812.5,"
+    "\"p999\":812.5,\"max\":812.5,\"mean\":406.41666666666669},\"wallMs\":{"
+    "\"n\":2,\"min\":12.5,\"p50\":333.25,\"p90\":333.25,\"p99\":333.25,"
+    "\"p999\":333.25,\"max\":333.25,\"mean\":172.875}},\"perAxis\":{"
+    "\"baseline\":{\"cases\":0,\"speedup\":{\"n\":2,"
+    "\"min\":0.80000000000000004,\"p50\":1.75,\"p90\":1.75,\"p99\":1.75,"
+    "\"p999\":1.75,\"max\":1.75,\"mean\":1.2749999999999999},\"violations\":{"
+    "\"n\":2,\"min\":5,\"p50\":42,\"p90\":42,\"p99\":42,\"p999\":42,"
+    "\"max\":42,\"mean\":23.5},\"specSlowSteps\":{\"n\":2,\"min\":3,"
+    "\"p50\":11,\"p90\":11,\"p99\":11,\"p999\":11,\"max\":11,\"mean\":7}},"
+    "\"nested\":{\"cases\":1,\"speedup\":{\"n\":1,"
+    "\"min\":0.80000000000000004,\"p50\":0.80000000000000004,"
+    "\"p90\":0.80000000000000004,\"p99\":0.80000000000000004,"
+    "\"p999\":0.80000000000000004,\"max\":0.80000000000000004,"
+    "\"mean\":0.80000000000000004},\"violations\":{\"n\":1,\"min\":5,"
+    "\"p50\":5,\"p90\":5,\"p99\":5,\"p999\":5,\"max\":5,\"mean\":5},"
+    "\"specSlowSteps\":{\"n\":1,\"min\":3,\"p50\":3,\"p90\":3,\"p99\":3,"
+    "\"p999\":3,\"max\":3,\"mean\":3}},\"calls\":{\"cases\":2,\"speedup\":{"
+    "\"n\":1,\"min\":1.75,\"p50\":1.75,\"p90\":1.75,\"p99\":1.75,"
+    "\"p999\":1.75,\"max\":1.75,\"mean\":1.75},\"violations\":{\"n\":1,"
+    "\"min\":42,\"p50\":42,\"p90\":42,\"p99\":42,\"p999\":42,\"max\":42,"
+    "\"mean\":42},\"specSlowSteps\":{\"n\":1,\"min\":11,\"p50\":11,"
+    "\"p90\":11,\"p99\":11,\"p999\":11,\"max\":11,\"mean\":11}},"
+    "\"condcarried\":{\"cases\":0,\"speedup\":{\"n\":0,\"min\":0,\"p50\":0,"
+    "\"p90\":0,\"p99\":0,\"p999\":0,\"max\":0,\"mean\":0},\"violations\":{"
+    "\"n\":0,\"min\":0,\"p50\":0,\"p90\":0,\"p99\":0,\"p999\":0,\"max\":0,"
+    "\"mean\":0},\"specSlowSteps\":{\"n\":0,\"min\":0,\"p50\":0,\"p90\":0,"
+    "\"p99\":0,\"p999\":0,\"max\":0,\"mean\":0}},\"reduction\":{\"cases\":1,"
+    "\"speedup\":{\"n\":0,\"min\":0,\"p50\":0,\"p90\":0,\"p99\":0,\"p999\":0,"
+    "\"max\":0,\"mean\":0},\"violations\":{\"n\":0,\"min\":0,\"p50\":0,"
+    "\"p90\":0,\"p99\":0,\"p999\":0,\"max\":0,\"mean\":0},\"specSlowSteps\":{"
+    "\"n\":0,\"min\":0,\"p50\":0,\"p90\":0,\"p99\":0,\"p999\":0,\"max\":0,"
+    "\"mean\":0}},\"resetind\":{\"cases\":2,\"speedup\":{\"n\":1,"
+    "\"min\":1.75,\"p50\":1.75,\"p90\":1.75,\"p99\":1.75,\"p999\":1.75,"
+    "\"max\":1.75,\"mean\":1.75},\"violations\":{\"n\":1,\"min\":42,"
+    "\"p50\":42,\"p90\":42,\"p99\":42,\"p999\":42,\"max\":42,\"mean\":42},"
+    "\"specSlowSteps\":{\"n\":1,\"min\":11,\"p50\":11,\"p90\":11,\"p99\":11,"
+    "\"p999\":11,\"max\":11,\"mean\":11}},\"sync\":{\"cases\":0,\"speedup\":{"
+    "\"n\":0,\"min\":0,\"p50\":0,\"p90\":0,\"p99\":0,\"p999\":0,\"max\":0,"
+    "\"mean\":0},\"violations\":{\"n\":0,\"min\":0,\"p50\":0,\"p90\":0,"
+    "\"p99\":0,\"p999\":0,\"max\":0,\"mean\":0},\"specSlowSteps\":{\"n\":0,"
+    "\"min\":0,\"p50\":0,\"p90\":0,\"p99\":0,\"p999\":0,\"max\":0,"
+    "\"mean\":0}},\"exception\":{\"cases\":1,\"speedup\":{\"n\":1,"
+    "\"min\":1.75,\"p50\":1.75,\"p90\":1.75,\"p99\":1.75,\"p999\":1.75,"
+    "\"max\":1.75,\"mean\":1.75},\"violations\":{\"n\":1,\"min\":42,"
+    "\"p50\":42,\"p90\":42,\"p99\":42,\"p999\":42,\"max\":42,\"mean\":42},"
+    "\"specSlowSteps\":{\"n\":1,\"min\":11,\"p50\":11,\"p90\":11,\"p99\":11,"
+    "\"p999\":11,\"max\":11,\"mean\":11}},\"alloc\":{\"cases\":2,"
+    "\"speedup\":{\"n\":1,\"min\":1.75,\"p50\":1.75,\"p90\":1.75,"
+    "\"p99\":1.75,\"p999\":1.75,\"max\":1.75,\"mean\":1.75},\"violations\":{"
+    "\"n\":1,\"min\":42,\"p50\":42,\"p90\":42,\"p99\":42,\"p999\":42,"
+    "\"max\":42,\"mean\":42},\"specSlowSteps\":{\"n\":1,\"min\":11,"
+    "\"p50\":11,\"p90\":11,\"p99\":11,\"p999\":11,\"max\":11,\"mean\":11}}},"
+    "\"squashCauses\":{\"raw_violation\":200,\"spurious_fault\":202,"
+    "\"stl_switch\":204,\"watchdog\":206,\"governor\":208},"
+    "\"violationsByClass\":{\"unknown\":400,\"stack\":402,\"heap\":404,"
+    "\"static\":406,\"scratch\":408},\"topSquashLoops\":[{"
+    "\"seed\":\"0000000000000002\",\"loopId\":1,\"squashes\":9},{"
+    "\"seed\":\"0000000000000001\",\"loopId\":0,\"squashes\":7},{"
+    "\"seed\":\"0000000000000002\",\"loopId\":4,\"squashes\":7},{"
+    "\"seed\":\"0000000000000001\",\"loopId\":3,\"squashes\":1}],\"fleet\":{"
+    "\"resumed\":true,\"workerDeaths\":8,\"crashes\":9,\"timeouts\":10,"
+    "\"retries\":11,\"quarantined\":12,\"reshards\":13,\"tornRecords\":14},"
+    "\"hostprof\":[{\"slot\":\"pipeline\",\"parent\":null,\"ticks\":0,"
+    "\"selfTicks\":0,\"scopes\":0,\"totalSec\":0.000000000,"
+    "\"selfSec\":0.000000000},{\"slot\":\"jit_compile\","
+    "\"parent\":\"pipeline\",\"ticks\":0,\"selfTicks\":0,\"scopes\":0,"
+    "\"totalSec\":0.000000000,\"selfSec\":0.000000000},{"
+    "\"slot\":\"machine_run\",\"parent\":\"pipeline\",\"ticks\":0,"
+    "\"selfTicks\":0,\"scopes\":0,\"totalSec\":0.000000000,"
+    "\"selfSec\":0.000000000},{\"slot\":\"seq_dispatch\","
+    "\"parent\":\"machine_run\",\"ticks\":0,\"selfTicks\":0,\"scopes\":0,"
+    "\"totalSec\":0.000000000,\"selfSec\":0.000000000},{"
+    "\"slot\":\"spec_dispatch\",\"parent\":\"machine_run\",\"ticks\":0,"
+    "\"selfTicks\":0,\"scopes\":0,\"totalSec\":0.000000000,"
+    "\"selfSec\":0.000000000},{\"slot\":\"event_horizon\","
+    "\"parent\":\"machine_run\",\"ticks\":0,\"selfTicks\":0,\"scopes\":0,"
+    "\"totalSec\":0.000000000,\"selfSec\":0.000000000},{"
+    "\"slot\":\"step_exact\",\"parent\":\"machine_run\",\"ticks\":0,"
+    "\"selfTicks\":0,\"scopes\":0,\"totalSec\":0.000000000,"
+    "\"selfSec\":0.000000000},{\"slot\":\"forward_scan\","
+    "\"parent\":\"step_exact\",\"ticks\":0,\"selfTicks\":0,\"scopes\":0,"
+    "\"totalSec\":0.000000000,\"selfSec\":0.000000000},{"
+    "\"slot\":\"dep_check\",\"parent\":\"step_exact\",\"ticks\":0,"
+    "\"selfTicks\":0,\"scopes\":0,\"totalSec\":0.000000000,"
+    "\"selfSec\":0.000000000},{\"slot\":\"commit\",\"parent\":\"step_exact\","
+    "\"ticks\":0,\"selfTicks\":0,\"scopes\":0,\"totalSec\":0.000000000,"
+    "\"selfSec\":0.000000000},{\"slot\":\"squash\",\"parent\":\"step_exact\","
+    "\"ticks\":0,\"selfTicks\":0,\"scopes\":0,\"totalSec\":0.000000000,"
+    "\"selfSec\":0.000000000},{\"slot\":\"buffer_drain\","
+    "\"parent\":\"commit\",\"ticks\":0,\"selfTicks\":0,\"scopes\":0,"
+    "\"totalSec\":0.000000000,\"selfSec\":0.000000000},{"
+    "\"slot\":\"spec_state_clear\",\"parent\":\"squash\",\"ticks\":0,"
+    "\"selfTicks\":0,\"scopes\":0,\"totalSec\":0.000000000,"
+    "\"selfSec\":0.000000000},{\"slot\":\"cache_model\","
+    "\"parent\":\"step_exact\",\"ticks\":0,\"selfTicks\":0,\"scopes\":0,"
+    "\"totalSec\":0.000000000,\"selfSec\":0.000000000},{"
+    "\"slot\":\"trap_runtime\",\"parent\":\"step_exact\",\"ticks\":0,"
+    "\"selfTicks\":0,\"scopes\":0,\"totalSec\":0.000000000,"
+    "\"selfSec\":0.000000000},{\"slot\":\"oracle_check\","
+    "\"parent\":\"pipeline\",\"ticks\":0,\"selfTicks\":0,\"scopes\":0,"
+    "\"totalSec\":0.000000000,\"selfSec\":0.000000000},{"
+    "\"slot\":\"metrics_publish\",\"parent\":\"pipeline\",\"ticks\":0,"
+    "\"selfTicks\":0,\"scopes\":0,\"totalSec\":0.000000000,"
+    "\"selfSec\":0.000000000},{\"slot\":\"sig_check\","
+    "\"parent\":\"step_exact\",\"ticks\":0,\"selfTicks\":0,\"scopes\":0,"
+    "\"totalSec\":0.000000000,\"selfSec\":0.000000000},{"
+    "\"slot\":\"spec_fast_retire\",\"parent\":\"spec_dispatch\",\"ticks\":0,"
+    "\"selfTicks\":0,\"scopes\":0,\"totalSec\":0.000000000,"
+    "\"selfSec\":0.000000000},{\"slot\":\"svc_accept\",\"parent\":null,"
+    "\"ticks\":0,\"selfTicks\":0,\"scopes\":0,\"totalSec\":0.000000000,"
+    "\"selfSec\":0.000000000},{\"slot\":\"svc_parse\",\"parent\":null,"
+    "\"ticks\":0,\"selfTicks\":0,\"scopes\":0,\"totalSec\":0.000000000,"
+    "\"selfSec\":0.000000000},{\"slot\":\"svc_schedule\",\"parent\":null,"
+    "\"ticks\":0,\"selfTicks\":0,\"scopes\":0,\"totalSec\":0.000000000,"
+    "\"selfSec\":0.000000000},{\"slot\":\"svc_run\",\"parent\":null,"
+    "\"ticks\":0,\"selfTicks\":0,\"scopes\":0,\"totalSec\":0.000000000,"
+    "\"selfSec\":0.000000000},{\"slot\":\"svc_reply\",\"parent\":null,"
+    "\"ticks\":0,\"selfTicks\":0,\"scopes\":0,\"totalSec\":0.000000000,"
+    "\"selfSec\":0.000000000}]}";
+
+TEST(CampaignAnalytics, BytesArePinned)
+{
+    hostprof::reset();
+    forge::CampaignConfig cfg;
+    cfg.seed = 0x5eed;
+    cfg.axes = 0x1a5;
+    forge::CaseResult b = sampleCase(0x2);
+    b.axes = 0x3;
+    b.speedup = 0.8;
+    b.seqCycles = 1000;
+    b.violations = 5;
+    b.specSlowSteps = 3;
+    b.meanBurst = 1.0 / 3.0;
+    b.wallMs = 12.5;
+    b.loopSquashes = {{1, 9}, {4, 7}};
+    forge::CampaignResult res;
+    res.cases = 2;
+    res.results = {sampleCase(0x1), b};
+    res.failures = 1;
+    res.pipelineErrors = 2;
+    res.divergences = 3;
+    res.oracleDetected = 4;
+    res.watchdogs = 5;
+    res.forcedRuns = 6;
+    res.distinctSignatures = 7;
+    for (std::size_t a = 0; a < res.axisScenarios.size(); ++a)
+        res.axisScenarios[a] = static_cast<std::uint32_t>(a % 3);
+    res.fleet = {true, true, 8, 9, 10, 11, 12, 13, 14};
+    EXPECT_EQ(forge::campaignAnalyticsJson(cfg, res),
+              kPinnedAnalyticsJson);
 }
 
 TEST(FleetWire, MissingSigHashIsRecomputedNotRejected)

@@ -238,6 +238,27 @@ TEST(MachineSequential, ArithmeticAndReturn)
     EXPECT_FALSE(m.uncaughtException());
 }
 
+// Overflowing products wrap to their low 32 bits; the host multiply
+// must not overflow a signed type (undefined behaviour).
+TEST(MachineSequential, MulWrapsOnOverflow)
+{
+    auto mul = [](Word x, Word y) {
+        Machine m(testConfig());
+        Asm a("mul");
+        a.li(R_T0, x);
+        a.li(R_T1, y);
+        a.aluRR(Op::MUL, R_V0, R_T0, R_T1);
+        a.jr(R_RA);
+        m.start(m.codeSpace().install(a.finish()), {}, kStackTop);
+        EXPECT_TRUE(m.run(10000));
+        return m.exitValue();
+    };
+    EXPECT_EQ(mul(0x40000000u, 4u), 0u);
+    EXPECT_EQ(mul(0x80000000u, 0xffffffffu), 0x80000000u);
+    EXPECT_EQ(mul(0xfffffffeu, 3u), 0xfffffffau); // -2 * 3
+    EXPECT_EQ(mul(0x10001u, 0x10001u), 0x20001u);
+}
+
 TEST(MachineSequential, FloatingPointOps)
 {
     Machine m(testConfig());

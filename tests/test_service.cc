@@ -111,8 +111,9 @@ TEST(ServiceProtocol, TornFramesWaitForMoreBytes)
     // Byte-at-a-time delivery: only the final byte completes it.
     for (std::size_t i = 0; i < wire.size(); ++i) {
         r.feed(wire.data() + i, 1);
-        if (i + 1 < wire.size())
+        if (i + 1 < wire.size()) {
             EXPECT_FALSE(r.next(out)) << "early at byte " << i;
+        }
     }
     ASSERT_TRUE(r.next(out));
     EXPECT_EQ(out, "{\"torn\":true}");
@@ -133,6 +134,29 @@ TEST(ServiceProtocol, OversizedFramePoisonsTheReader)
     EXPECT_FALSE(r.next(out));
 }
 
+// Pinned: request and response frame bytes, the wire format every
+// client speaks.
+const char *const kPinnedSubmitJson =
+    "{\"v\":1,\"id\":42,\"kind\":\"submit\",\"workload\":\"w\\\"q\\u0002\","
+    "\"seed\":\"deadbeef12345678\",\"axes\":3,\"deadlineMs\":1500,"
+    "\"warm\":\"cold\",\"debugSleepMs\":9}";
+const char *const kPinnedCancelJson =
+    "{\"v\":1,\"id\":7,\"kind\":\"cancel\",\"target\":42}";
+const char *const kPinnedErrorJson =
+    "{\"v\":1,\"id\":5,\"kind\":\"error\",\"status\":\"busy\","
+    "\"detail\":\"full \\\"x\\\"\\n\\t\"}";
+const char *const kPinnedResultJson =
+    "{\"v\":1,\"id\":6,\"kind\":\"result\",\"status\":\"ok\","
+    "\"queueMs\":1.235,\"runMs\":7.500,\"report\":{\"a\":1}}";
+
+TEST(ServiceProtocol, ResponseBytesArePinned)
+{
+    EXPECT_EQ(svc::errorResponseJson(5, "busy", "full \"x\"\n\t"),
+              kPinnedErrorJson);
+    EXPECT_EQ(svc::resultResponseJson(6, "{\"a\":1}", 1.23456, 7.5),
+              kPinnedResultJson);
+}
+
 TEST(ServiceProtocol, RequestJsonRoundTrip)
 {
     Request r;
@@ -143,6 +167,9 @@ TEST(ServiceProtocol, RequestJsonRoundTrip)
     r.axes = 3;
     r.deadlineMs = 1500;
     r.warm = "cold";
+    r.workload = "w\"q\x02";
+    r.debugSleepMs = 9;
+    EXPECT_EQ(svc::requestJson(r), kPinnedSubmitJson);
 
     Request back;
     std::string err;
@@ -156,11 +183,14 @@ TEST(ServiceProtocol, RequestJsonRoundTrip)
     EXPECT_EQ(back.axes, 3u);
     EXPECT_EQ(back.deadlineMs, 1500u);
     EXPECT_EQ(back.warm, "cold");
+    EXPECT_EQ(back.workload, r.workload);
+    EXPECT_EQ(back.debugSleepMs, 9u);
 
     Request c;
     c.id = 7;
     c.kind = ReqKind::Cancel;
     c.target = 42;
+    EXPECT_EQ(svc::requestJson(c), kPinnedCancelJson);
     ASSERT_TRUE(svc::requestFromJson(svc::requestJson(c), back,
                                      &err))
         << err;
@@ -380,7 +410,7 @@ driverReportFor(std::uint64_t seed)
     jc.maxCycles = 500'000'000ull;
     DriverConfig dc;
     dc.jobs = 1;
-    auto res = BatchDriver(dc).run({{w, jc}});
+    auto res = BatchDriver(dc).run({{w, jc, {}}});
     EXPECT_TRUE(res.at(0).ok) << res.at(0).error;
     return reportJson(res.at(0).report);
 }

@@ -2,7 +2,7 @@
  * @file
  * Tests of the observability stack: flight-recorder ring mechanics,
  * span reconstruction with violated-window recoloring, Chrome JSON
- * export (re-parsed by a minimal JSON reader), the violation ledger
+ * export (re-parsed by jsonParse()), the violation ledger
  * against a hand-assembled STL that is guaranteed to squash, the
  * metrics registry, and an end-to-end check that per-CPU span
  * accounting reproduces the Fig. 10 ExecStats buckets.
@@ -10,13 +10,10 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cctype>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -49,204 +46,6 @@ testConfig()
     cfg.memBytes = 1u << 20;
     return cfg;
 }
-
-// ---------------------------------------------------------------------
-// Minimal recursive-descent JSON reader, just enough to re-parse the
-// exporter's output and prove it is well-formed.
-// ---------------------------------------------------------------------
-
-struct Json
-{
-    enum Kind { Null, Bool, Num, Str, Arr, Obj } kind = Null;
-    bool b = false;
-    double num = 0;
-    std::string str;
-    std::vector<Json> arr;
-    std::map<std::string, Json> obj;
-
-    const Json &
-    operator[](const std::string &key) const
-    {
-        static const Json missing;
-        auto it = obj.find(key);
-        return it == obj.end() ? missing : it->second;
-    }
-};
-
-class JsonParser
-{
-  public:
-    explicit JsonParser(const std::string &text) : s(text) {}
-
-    bool
-    parse(Json &out)
-    {
-        ok = true;
-        value(out);
-        ws();
-        return ok && i == s.size();
-    }
-
-  private:
-    const std::string &s;
-    std::size_t i = 0;
-    bool ok = true;
-
-    void ws() { while (i < s.size() && std::isspace(
-        static_cast<unsigned char>(s[i]))) ++i; }
-
-    bool
-    eat(char c)
-    {
-        ws();
-        if (i < s.size() && s[i] == c) {
-            ++i;
-            return true;
-        }
-        return false;
-    }
-
-    void
-    value(Json &out)
-    {
-        ws();
-        if (i >= s.size()) {
-            ok = false;
-            return;
-        }
-        const char c = s[i];
-        if (c == '{')
-            object(out);
-        else if (c == '[')
-            array(out);
-        else if (c == '"')
-            string(out);
-        else if (c == 't' || c == 'f')
-            boolean(out);
-        else if (c == 'n')
-            null(out);
-        else
-            number(out);
-    }
-
-    void
-    object(Json &out)
-    {
-        out.kind = Json::Obj;
-        ok = ok && eat('{');
-        if (eat('}'))
-            return;
-        do {
-            Json key;
-            ws();
-            if (i >= s.size() || s[i] != '"') {
-                ok = false;
-                return;
-            }
-            string(key);
-            ok = ok && eat(':');
-            value(out.obj[key.str]);
-            if (!ok)
-                return;
-        } while (eat(','));
-        ok = ok && eat('}');
-    }
-
-    void
-    array(Json &out)
-    {
-        out.kind = Json::Arr;
-        ok = ok && eat('[');
-        if (eat(']'))
-            return;
-        do {
-            out.arr.emplace_back();
-            value(out.arr.back());
-            if (!ok)
-                return;
-        } while (eat(','));
-        ok = ok && eat(']');
-    }
-
-    void
-    string(Json &out)
-    {
-        out.kind = Json::Str;
-        ok = ok && eat('"');
-        while (ok && i < s.size() && s[i] != '"') {
-            if (s[i] == '\\') {
-                ++i;
-                if (i >= s.size()) {
-                    ok = false;
-                    return;
-                }
-                switch (s[i]) {
-                  case '"': out.str += '"'; break;
-                  case '\\': out.str += '\\'; break;
-                  case 'n': out.str += '\n'; break;
-                  case 't': out.str += '\t'; break;
-                  case 'u':
-                    if (i + 4 >= s.size()) {
-                        ok = false;
-                        return;
-                    }
-                    out.str += '?'; // escapes only carry control chars
-                    i += 4;
-                    break;
-                  default: ok = false; return;
-                }
-                ++i;
-            } else {
-                out.str += s[i++];
-            }
-        }
-        ok = ok && eat('"');
-    }
-
-    void
-    boolean(Json &out)
-    {
-        out.kind = Json::Bool;
-        if (s.compare(i, 4, "true") == 0) {
-            out.b = true;
-            i += 4;
-        } else if (s.compare(i, 5, "false") == 0) {
-            out.b = false;
-            i += 5;
-        } else {
-            ok = false;
-        }
-    }
-
-    void
-    null(Json &out)
-    {
-        out.kind = Json::Null;
-        if (s.compare(i, 4, "null") == 0)
-            i += 4;
-        else
-            ok = false;
-    }
-
-    void
-    number(Json &out)
-    {
-        out.kind = Json::Num;
-        const std::size_t start = i;
-        if (i < s.size() && (s[i] == '-' || s[i] == '+'))
-            ++i;
-        while (i < s.size() &&
-               (std::isdigit(static_cast<unsigned char>(s[i])) ||
-                s[i] == '.' || s[i] == 'e' || s[i] == 'E' ||
-                s[i] == '-' || s[i] == '+'))
-            ++i;
-        if (i == start) {
-            ok = false;
-            return;
-        }
-        out.num = std::stod(s.substr(start, i - start));
-    }
-};
 
 // ---------------------------------------------------------------------
 // Ring-buffer mechanics (direct record() calls work in both trace
@@ -417,13 +216,52 @@ TEST_F(TraceTest, ViolatedWindowRecolorsAndSplitsSpans)
 // Chrome JSON export.
 // ---------------------------------------------------------------------
 
+// Pinned: the export's exact bytes (layout, escaping, key order);
+// trace viewers and scripts read this file.
+const char *const kPinnedChromeJson =
+    "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"
+    "{\"ph\":\"M\",\"pid\":0,\"tid\":0,\"name\":\"thread_name\",\"args\":{"
+    "\"name\":\"cpu0\"}},\n"
+    "{\"ph\":\"M\",\"pid\":0,\"tid\":1,\"name\":\"thread_name\",\"args\":{"
+    "\"name\":\"cpu1\"}},\n"
+    "{\"ph\":\"M\",\"pid\":0,\"tid\":2,\"name\":\"thread_name\",\"args\":{"
+    "\"name\":\"cpu2\"}},\n"
+    "{\"ph\":\"M\",\"pid\":0,\"tid\":3,\"name\":\"thread_name\",\"args\":{"
+    "\"name\":\"cpu3\"}},\n"
+    "{\"ph\":\"M\",\"pid\":0,\"tid\":4,\"name\":\"thread_name\",\"args\":{"
+    "\"name\":\"host\"}},\n"
+    "{\"name\":\"serial\",\"cat\":\"state\",\"ph\":\"X\",\"pid\":0,\"tid\":0,"
+    "\"ts\":0,\"dur\":50},\n"
+    "{\"name\":\"run\",\"cat\":\"state\",\"ph\":\"X\",\"pid\":0,\"tid\":0,"
+    "\"ts\":50,\"dur\":30},\n"
+    "{\"name\":\"wait\",\"cat\":\"state\",\"ph\":\"X\",\"pid\":0,\"tid\":1,"
+    "\"ts\":10,\"dur\":20},\n"
+    "{\"name\":\"mem_stall\",\"cat\":\"event\",\"ph\":\"i\",\"s\":\"t\","
+    "\"pid\":0,\"tid\":1,\"ts\":12,\"args\":{\"arg0\":-3,\"arg1\":4096,"
+    "\"arg2\":50}},\n"
+    "{\"name\":\"phase:tls \\\"q\\\"\",\"cat\":\"event\",\"ph\":\"i\","
+    "\"s\":\"t\",\"pid\":0,\"tid\":4,\"ts\":0,\"args\":{\"arg0\":0,"
+    "\"arg1\":0,\"arg2\":0}},\n"
+    "{\"name\":\"jit_compile\",\"cat\":\"event\",\"ph\":\"i\",\"s\":\"t\","
+    "\"pid\":0,\"tid\":4,\"ts\":5,\"args\":{\"arg0\":0,\"arg1\":99,"
+    "\"arg2\":3}}\n"
+    "],\"violationLedger\":[\n"
+    "{\"cycle\":33,\"addr\":\"0x2a\",\"storeSite\":7,\"loopId\":7,"
+    "\"storeCpu\":2,\"victimCpu\":3,\"victimIteration\":5,"
+    "\"victimProgress\":17}\n"
+    "],\"droppedEvents\":0,\"droppedViolations\":0}\n";
+
 TEST_F(TraceTest, ChromeJsonParsesBackWithLedgerAndSpans)
 {
     Trace &tr = Trace::global();
+    tr.beginPhase("tls \"q\"");
     recordState(0, 0, TraceState::Serial);
-    recordState(0, 50, TraceState::Idle);
-    tr.record(1, TraceEvt::MemStall, 12, 1, kArrayBase, 50);
-    tr.record(Trace::kHostTrack, TraceEvt::JitCompile, 0, 0, 99, 3);
+    recordState(0, 50, TraceState::SpecRun);
+    recordState(0, 80, TraceState::Idle);
+    recordState(1, 10, TraceState::SpecWait);
+    recordState(1, 30, TraceState::Idle);
+    tr.record(1, TraceEvt::MemStall, 12, -3, kArrayBase, 50);
+    tr.record(Trace::kHostTrack, TraceEvt::JitCompile, 5, 0, 99, 3);
     ViolationRecord rec;
     rec.cycle = 33;
     rec.addr = 0x2a;
@@ -435,37 +273,14 @@ TEST_F(TraceTest, ChromeJsonParsesBackWithLedgerAndSpans)
     rec.victimProgress = 17;
     tr.recordViolation(rec);
 
-    Json root;
-    ASSERT_TRUE(JsonParser(tr.exportChromeJson()).parse(root));
-    const Json &evs = root["traceEvents"];
-    ASSERT_EQ(evs.kind, Json::Arr);
-
-    std::size_t meta = 0, complete = 0, instants = 0;
-    for (const Json &e : evs.arr) {
-        ASSERT_EQ(e.kind, Json::Obj);
-        const std::string ph = e["ph"].str;
-        if (ph == "M") {
-            ++meta;
-        } else if (ph == "X") {
-            ++complete;
-            EXPECT_EQ(e["name"].str, "serial");
-            EXPECT_EQ(e["dur"].num, 50.0);
-        } else if (ph == "i") {
-            ++instants;
-        }
-    }
-    EXPECT_EQ(meta, 5u);       // 4 cpu tracks + host
-    EXPECT_EQ(complete, 1u);   // the Idle span is not exported
-    EXPECT_EQ(instants, 2u);   // mem_stall + jit_compile
-
-    const Json &ledger = root["violationLedger"];
-    ASSERT_EQ(ledger.kind, Json::Arr);
-    ASSERT_EQ(ledger.arr.size(), 1u);
-    EXPECT_EQ(ledger.arr[0]["addr"].str, "0x2a");
-    EXPECT_EQ(ledger.arr[0]["victimCpu"].num, 3.0);
-    EXPECT_EQ(ledger.arr[0]["victimProgress"].num, 17.0);
-    EXPECT_EQ(root["droppedEvents"].num, 0.0);
-    EXPECT_EQ(root["droppedViolations"].num, 0.0);
+    // One thread_name record per track (4 cpus + host); one flat
+    // lane per tid whose spans abut without overlapping (Idle spans
+    // are not exported); three instants; the ledger record.
+    const std::string json = tr.exportChromeJson();
+    EXPECT_EQ(json, kPinnedChromeJson);
+    JsonValue root;
+    std::string err;
+    EXPECT_TRUE(jsonParse(json, root, &err)) << err;
 }
 
 // ---------------------------------------------------------------------
@@ -708,26 +523,106 @@ TEST(Metrics, GetOrCreateReturnsStableReferences)
     reg.clear();
 }
 
+// Pinned: dumpJson()'s exact bytes (the --metrics-out=*.json
+// format).
+const char *const kPinnedMetricsJson =
+    "{\n"
+    "\"a.count\":{\"kind\":\"counter\",\"value\":12345678901},\n"
+    "\"b.gauge\":{\"kind\":\"gauge\",\"value\":2.5},\n"
+    "\"c.hist\":{\"kind\":\"histogram\",\"count\":3,\"mean\":3.2,"
+    "\"stddev\":2.27596134,\"min\":0.1,\"max\":5.5}\n"
+    "}\n";
+
 TEST(Metrics, DumpJsonParsesBack)
 {
     MetricsRegistry &reg = MetricsRegistry::global();
     reg.clear();
-    reg.counter("a.count").inc(7);
+    EXPECT_EQ(reg.dumpJson(), "{\n}\n");
+    reg.counter("a.count").inc(12345678901ull);
     reg.gauge("b.gauge").set(2.5);
-    reg.histogram("c.hist").sample(4.0);
+    for (double v : {4.0, 5.5, 0.1})
+        reg.histogram("c.hist").sample(v);
 
-    Json root;
-    ASSERT_TRUE(JsonParser(reg.dumpJson()).parse(root));
-    ASSERT_EQ(root.kind, Json::Obj);
-    EXPECT_EQ(root["a.count"]["value"].num, 7.0);
-    EXPECT_EQ(root["a.count"]["kind"].str, "counter");
-    EXPECT_EQ(root["b.gauge"]["value"].num, 2.5);
-    EXPECT_EQ(root["c.hist"]["count"].num, 1.0);
+    const std::string json = reg.dumpJson();
+    EXPECT_EQ(json, kPinnedMetricsJson);
+    JsonValue root;
+    std::string err;
+    EXPECT_TRUE(jsonParse(json, root, &err)) << err;
 
     const std::string text = reg.dumpText();
     EXPECT_NE(text.find("a.count"), std::string::npos);
-    EXPECT_NE(text.find("7"), std::string::npos);
+    EXPECT_NE(text.find("12345678901"), std::string::npos);
     reg.clear();
+}
+
+// Pinned: every tls.* / cache.* metric one small TLS run publishes,
+// name and value, as a --metrics-out dump lists them.
+const char *const kPinnedTlsMetrics =
+    "cache.l1.cpu0.hits 18531\ncache.l1.cpu0.misses 987\n"
+    "cache.l1.cpu1.hits 8636\ncache.l1.cpu1.misses 584\n"
+    "cache.l1.cpu2.hits 8638\ncache.l1.cpu2.misses 584\n"
+    "cache.l1.cpu3.hits 8640\ncache.l1.cpu3.misses 584\ncache.l2.hits 13245\n"
+    "cache.l2.misses 133\ntls.commits 1032\ntls.cycles 164772\n"
+    "tls.forwarded_loads 5524\ntls.governor_aborts 1\ntls.insts 401785\n"
+    "tls.loop0.burst_insts 137345\ntls.loop0.burst_windows 22534\n"
+    "tls.loop0.commits 8\ntls.loop0.cycles_inside 153941\n"
+    "tls.loop0.entries 1\ntls.loop0.forwarded_loads 5524\n"
+    "tls.loop0.governor_aborts 1\ntls.loop0.overflow_stalls 0\n"
+    "tls.loop0.sig_false_positives 11080\ntls.loop0.sig_hits 16652\n"
+    "tls.loop0.slow_steps 16596\ntls.loop0.solo_entries 1\n"
+    "tls.loop0.spec_fast_mem 31146\n"
+    "tls.loop0.thread_cycles count=8 mean=21797 stddev=1317.49 min=20021 max="
+    "22875\ntls.loop0.violations 48\ntls.loop2.burst_insts 4426\n"
+    "tls.loop2.burst_windows 433\ntls.loop2.commits 512\n"
+    "tls.loop2.cycles_inside 5711\ntls.loop2.entries 1\n"
+    "tls.loop2.forwarded_loads 0\ntls.loop2.governor_aborts 0\n"
+    "tls.loop2.overflow_stalls 0\ntls.loop2.sig_false_positives 1\n"
+    "tls.loop2.sig_hits 1\ntls.loop2.slow_steps 1285\n"
+    "tls.loop2.solo_entries 0\ntls.loop2.spec_fast_mem 2063\n"
+    "tls.loop2.thread_cycles count=512 mean=38.4004 stddev=3.04809 min=38 max"
+    "=85\ntls.loop2.violations 0\ntls.loop3.burst_insts 3515\n"
+    "tls.loop3.burst_windows 781\ntls.loop3.commits 512\n"
+    "tls.loop3.cycles_inside 4852\ntls.loop3.entries 1\n"
+    "tls.loop3.forwarded_loads 0\ntls.loop3.governor_aborts 0\n"
+    "tls.loop3.overflow_stalls 0\ntls.loop3.sig_false_positives 0\n"
+    "tls.loop3.sig_hits 0\ntls.loop3.slow_steps 1337\n"
+    "tls.loop3.solo_entries 0\ntls.loop3.spec_fast_mem 1549\n"
+    "tls.loop3.thread_cycles count=512 mean=31.7187 stddev=3.57386 min=29 max"
+    "=65\ntls.loop3.violations 0\ntls.mem_ops 59625\ntls.overflow_stalls 0\n"
+    "tls.sig_false_positives 11081\ntls.sig_hits 16653\n"
+    "tls.spec_fast_mem 34758\ntls.spec_slow_steps 19218\n"
+    "tls.spec_window_insts 145286\ntls.spec_windows 23748\n"
+    "tls.squash.governor 1\ntls.squash.raw_violation 48\n"
+    "tls.squash.spurious_fault 0\ntls.squash.stl_switch 0\n"
+    "tls.squash.watchdog 0\ntls.stl_entries 3\ntls.violations 48\n"
+    "tls.violations_by_class.heap 48\ntls.violations_by_class.scratch 0\n"
+    "tls.violations_by_class.stack 0\ntls.violations_by_class.static 0\n"
+    "tls.violations_by_class.unknown 0\ntls.violations_suppressed 0\n"
+    "tls.watchdog_fires 0\n";
+
+TEST(Metrics, TlsRunPublishesPinnedCounters)
+{
+    // deltaBlue's quick input squashes and trips the governor, so
+    // the squash and violation counters are non-zero too.
+    Workload w = wl::workloadByName("deltaBlue");
+    w.mainArgs = w.profileArgs;
+    JrpmSystem sys(w);
+    const std::vector<SelectedStl> sels = sys.selectOnly();
+    MetricsRegistry &reg = MetricsRegistry::global();
+    reg.clear();
+    sys.runTls(w.mainArgs, sels);
+    std::string got;
+    std::istringstream dump(reg.dumpText());
+    for (std::string line; std::getline(dump, line);) {
+        if (line.rfind("tls.", 0) != 0 && line.rfind("cache.", 0) != 0)
+            continue;
+        std::istringstream words(line);
+        for (std::string word; words >> word;)
+            got += word + ' ';
+        got.back() = '\n';
+    }
+    reg.clear();
+    EXPECT_EQ(got, kPinnedTlsMetrics);
 }
 
 // ---------------------------------------------------------------------
@@ -756,67 +651,6 @@ TEST(ExecStatsViolations, AddressTableIsBoundedAndRanked)
     EXPECT_EQ(top[1].second, 2u);
     for (std::size_t k = 1; k < top.size(); ++k)
         EXPECT_GE(top[k - 1].second, top[k].second);
-}
-
-// ---------------------------------------------------------------------
-// Chrome JSON round-trip through the core report parser: the exporter
-// and jsonParse() must agree on the format, not merely the test-local
-// reader above.
-// ---------------------------------------------------------------------
-
-TEST_F(TraceTest, ChromeJsonRoundTripsThroughCoreParser)
-{
-    Trace &tr = Trace::global();
-    recordState(0, 0, TraceState::Serial);
-    recordState(0, 50, TraceState::SpecRun);
-    recordState(0, 80, TraceState::Idle);
-    recordState(1, 10, TraceState::SpecWait);
-    recordState(1, 30, TraceState::Idle);
-    tr.record(Trace::kHostTrack, TraceEvt::JitCompile, 5, 0, 42, 1);
-    tr.record(2, TraceEvt::MemStall, 20, 1, kArrayBase, 8);
-
-    JsonValue root;
-    std::string err;
-    ASSERT_TRUE(jsonParse(tr.exportChromeJson(), root, &err)) << err;
-    const JsonValue &evs = root["traceEvents"];
-    ASSERT_EQ(evs.kind, JsonValue::Kind::Array);
-    ASSERT_FALSE(evs.items.empty());
-
-    std::size_t metadata = 0;
-    std::map<double, std::vector<std::pair<double, double>>> byTid;
-    for (const JsonValue &e : evs.items) {
-        ASSERT_EQ(e.kind, JsonValue::Kind::Object);
-        // Every event carries the fixed process id and a numeric
-        // thread id (the track).
-        ASSERT_EQ(e["pid"].kind, JsonValue::Kind::Number);
-        EXPECT_EQ(e["pid"].number(), 0.0);
-        ASSERT_EQ(e["tid"].kind, JsonValue::Kind::Number);
-        const std::string &ph = e["ph"].str;
-        if (ph == "M") {
-            ++metadata;
-            EXPECT_EQ(e["name"].str, "thread_name");
-            EXPECT_EQ(e["args"]["name"].kind,
-                      JsonValue::Kind::String);
-        } else if (ph == "X") {
-            ASSERT_EQ(e["ts"].kind, JsonValue::Kind::Number);
-            ASSERT_EQ(e["dur"].kind, JsonValue::Kind::Number);
-            byTid[e["tid"].number()].emplace_back(e["ts"].number(),
-                                                  e["dur"].number());
-        }
-    }
-    EXPECT_EQ(metadata, 5u); // 4 cpu tracks + host
-
-    // The exporter emits one flat lane per tid, so span nesting is
-    // valid exactly when siblings on a lane never overlap.
-    std::size_t spanCount = 0;
-    for (auto &[tid, xs] : byTid) {
-        std::sort(xs.begin(), xs.end());
-        for (std::size_t k = 1; k < xs.size(); ++k)
-            EXPECT_GE(xs[k].first, xs[k - 1].first + xs[k - 1].second)
-                << "overlapping spans on tid " << tid;
-        spanCount += xs.size();
-    }
-    EXPECT_EQ(spanCount, 3u); // serial + spec_run on cpu0, wait on 1
 }
 
 // ---------------------------------------------------------------------
