@@ -31,13 +31,15 @@
  *  --emit-starter=<dir>  write the hand-minimized starter corpus
  *                        (one scenario per stress axis + one mixed).
  *
- *  --diff-fastpath     speculative fast-path equivalence campaign:
- *                      run every scenario through the pipeline twice
- *                      (sys.specMemFastPath forced on and off) and
- *                      require semantically identical outcomes —
- *                      cycles, Fig. 10 buckets, violations, VM
- *                      output, and the strict oracle's memory
- *                      checksum.  Exit 1 on any mismatch.
+ *  --diff-fastpath     fast-path equivalence campaign: run every
+ *                      scenario through the pipeline twice, with
+ *                      sys.dispatch Fast and Exact (step() every
+ *                      cycle), and require identical sequential and
+ *                      speculative outcomes — cycles, Fig. 10
+ *                      buckets, violations, VM output, the strict
+ *                      oracle's memory checksum — plus equal forced-
+ *                      sweep counts (see runFastPathDifferential).
+ *                      Exit 1 on any mismatch.
  *
  *  --fleet             run the campaign as a crash-isolated fleet:
  *                      shard the seed range over --jobs worker

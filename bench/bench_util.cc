@@ -115,12 +115,6 @@ parseArgs(int argc, char **argv)
             opt.forensics = argv[i] + 12;
         } else if (!std::strcmp(argv[i], "--no-forced-sweep")) {
             opt.noForcedSweep = true;
-        } else if (!std::strncmp(argv[i], "--spec-fastpath=", 16)) {
-            opt.specFastPath = argv[i] + 16;
-            if (opt.specFastPath != "on" &&
-                opt.specFastPath != "off")
-                fatal("--spec-fastpath wants on|off, got '%s'",
-                      opt.specFastPath.c_str());
         } else if (!std::strcmp(argv[i], "--diff-fastpath")) {
             opt.diffFastPath = true;
         } else if (!std::strcmp(argv[i], "--guided")) {
@@ -151,7 +145,6 @@ parseArgs(int argc, char **argv)
                         "[--case-timeout-ms=<n>] "
                         "[--chaos-kill-ms=<n>] [--forensics=<dir>] "
                         "[--no-forced-sweep] "
-                        "[--spec-fastpath=on|off] "
                         "[--diff-fastpath] [--guided] "
                         "[--guided-batch=<n>] [--distill=<dir>] "
                         "[--weights=<bank>]\n",
@@ -219,8 +212,6 @@ benchConfig(const Options &opt)
     }
     if (!opt.faultPlan.empty())
         cfg.faultPlan = FaultPlan::parse(opt.faultPlan);
-    if (!opt.specFastPath.empty())
-        cfg.sys.specMemFastPath = opt.specFastPath == "on";
     return cfg;
 }
 

@@ -13,8 +13,8 @@
  *   --metrics-out=<path> dump the metrics registry (.json for JSON)
  *   --oracle=<mode>      off | checksum | strict differential oracle
  *   --fault-plan=<spec>  inject faults (see FaultPlan::parse)
- *   --cases=<n>          campaign size (bench_robustness)
- *   --seed=<n>           campaign seed (bench_robustness)
+ *   --cases=<n>          campaign size (robustness, forge campaign)
+ *   --seed=<n>           campaign seed (robustness, forge campaign)
  *   --hostprof           enable the host-cycle self-profiler
  *   --analytics-out=<path>  campaign analytics JSON (forge campaign)
  *   --fleet              crash-isolated multi-process campaign
@@ -23,8 +23,7 @@
  *   --chaos-kill-ms=<n>  fleet self-test worker killer
  *   --forensics=<dir>    crash records + partial telemetry (fleet)
  *   --no-forced-sweep    skip the per-loop forced speculation pass
- *   --spec-fastpath=on|off  force the speculative memory fast path
- *   --diff-fastpath      fast-path on/off equivalence campaign
+ *   --diff-fastpath      fast vs exact dispatch equivalence campaign
  *   --guided             coverage-guided generation (forge campaign)
  *   --guided-batch=<n>   cases per guided weight-update batch
  *   --distill=<dir>      distill the campaign to a signature corpus
@@ -80,10 +79,7 @@ struct Options
     std::string workerReplay;    ///< --worker-replay=<file>
     std::string forensics;       ///< --forensics=<dir>
     bool noForcedSweep = false;  ///< --no-forced-sweep
-    /** --spec-fastpath=on|off: force the speculative memory fast
-     *  path ("" = the SystemConfig default). */
-    std::string specFastPath;
-    /** --diff-fastpath: fast-path on/off equivalence campaign
+    /** --diff-fastpath: fast vs exact dispatch equivalence campaign
      *  (bench_forge_campaign). */
     bool diffFastPath = false;
     // Coverage-guided forge flags (bench_forge_campaign).

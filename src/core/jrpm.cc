@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cinttypes>
 
 #include "common/hostprof.hh"
 #include "common/logging.hh"
@@ -11,6 +12,71 @@
 
 namespace jrpm
 {
+
+std::string
+outcomeDiff(const RunOutcome &a, const RunOutcome &b)
+{
+    std::string d;
+    auto u64 = [&](const char *what, std::uint64_t x, std::uint64_t y) {
+        if (d.empty() && x != y)
+            d = strfmt("%s: %" PRIu64 " vs %" PRIu64, what, x, y);
+    };
+    auto num = [&](const char *what, double x, double y) {
+        if (d.empty() && x != y)
+            d = strfmt("%s: %.17g vs %.17g", what, x, y);
+    };
+    auto hist = [&](const char *what, const SpanHist &x,
+                    const SpanHist &y) {
+        u64(strfmt("%s.count", what).c_str(), x.count, y.count);
+        u64(strfmt("%s.sum", what).c_str(), x.sum, y.sum);
+        u64(strfmt("%s.max", what).c_str(), x.max, y.max);
+    };
+
+    u64("halted", a.halted, b.halted);
+    u64("uncaught", a.uncaught, b.uncaught);
+    u64("exitValue", a.exitValue, b.exitValue);
+    u64("cycles", a.cycles, b.cycles);
+    u64("insts", a.insts, b.insts);
+    u64("memChecksum", a.memChecksum, b.memChecksum);
+    u64("watchdogFired", a.watchdogFired, b.watchdogFired);
+    u64("faultsInjected", a.faultsInjected, b.faultsInjected);
+    if (d.empty() && a.vm.output != b.vm.output)
+        d = "vm.output differs";
+    u64("vm.allocations", a.vm.allocations, b.vm.allocations);
+    u64("vm.allocatedBytes", a.vm.allocatedBytes, b.vm.allocatedBytes);
+    u64("vm.gcRuns", a.vm.gcRuns, b.vm.gcRuns);
+    u64("vm.gcCycles", a.vm.gcCycles, b.vm.gcCycles);
+    u64("vm.gcFreedObjects", a.vm.gcFreedObjects, b.vm.gcFreedObjects);
+    u64("vm.monitorEnters", a.vm.monitorEnters, b.vm.monitorEnters);
+    u64("l1Hits", a.l1Hits, b.l1Hits);
+    u64("l1Misses", a.l1Misses, b.l1Misses);
+    u64("l2Hits", a.l2Hits, b.l2Hits);
+    u64("l2Misses", a.l2Misses, b.l2Misses);
+
+    const ExecStats &sa = a.stats;
+    const ExecStats &sb = b.stats;
+#define JRPM_DIFF_BUCKET(m) num("stats." #m, sa.m, sb.m);
+#define JRPM_DIFF_SCALAR(path, metric, key, diff)                            \
+    if (diff)                                                                \
+        u64("stats." #path, sa.path, sb.path);
+#define JRPM_DIFF_HIST(m, key, diff)                                         \
+    if (diff)                                                                \
+        hist("stats." #m, sa.m, sb.m);
+#define JRPM_DIFF_CAUSES(m, n, name, metric, key, diff)                      \
+    if (diff)                                                                \
+        for (std::size_t c = 0; c < n; ++c)                                  \
+            u64(strfmt("stats." #m "[%s]", name(c)).c_str(), sa.m[c],      \
+                sb.m[c]);
+    JRPM_EXEC_STATS(JRPM_DIFF_BUCKET, JRPM_DIFF_SCALAR, JRPM_DIFF_SCALAR,
+                    JRPM_DIFF_HIST, JRPM_DIFF_CAUSES)
+#undef JRPM_DIFF_BUCKET
+#undef JRPM_DIFF_SCALAR
+#undef JRPM_DIFF_HIST
+#undef JRPM_DIFF_CAUSES
+    if (d.empty() && sa.violationAddrs != sb.violationAddrs)
+        d = "stats.violationAddrs differs";
+    return d;
+}
 
 JrpmSystem::JrpmSystem(Workload workload, JrpmConfig config)
     : load(std::move(workload)), cfg(std::move(config)),

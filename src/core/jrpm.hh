@@ -142,6 +142,17 @@ struct RunOutcome
     std::uint32_t faultsInjected = 0;
 };
 
+/**
+ * First difference between two runs of one program ("" when they
+ * agree), as "<field>: <a> vs <b>".  Compares what the simulated
+ * machine did: results, VM output and counters, cycle, instruction
+ * and cache counts, the oracle's memory checksum, the violation
+ * address map and every ExecStats row whose `diff` column is true
+ * (cpu/stats.hh).  The other rows count how the simulator stepped
+ * and differ between Dispatch::Fast and Dispatch::Exact.
+ */
+std::string outcomeDiff(const RunOutcome &a, const RunOutcome &b);
+
 /** Fig. 9 lifecycle components, in cycles. */
 struct PhaseBreakdown
 {

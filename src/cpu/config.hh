@@ -83,6 +83,17 @@ struct GovernorConfig
     double maxOverflowPerCommit = 12.0;
 };
 
+/** Simulator dispatch tier (DESIGN.md, "Simulator dispatch"). */
+enum class Dispatch : std::uint8_t
+{
+    /** Event-horizon batching and signature-admitted speculative
+     *  windows, with accounting bit-identical to Exact. */
+    Fast,
+    /** The per-cycle reference: Machine::step() every cycle.  The
+     *  differential tests check Fast against it. */
+    Exact,
+};
+
 /** Whole-machine configuration. */
 struct SystemConfig
 {
@@ -105,15 +116,9 @@ struct SystemConfig
     /** Model cache timing (off = every access is an L1 hit). */
     bool cacheTiming = true;
 
-    /**
-     * Host-side speed knob (no effect on simulated behaviour): let
-     * speculative memory ops that provably miss every other core's
-     * write/read-set signature retire inside event-horizon burst
-     * windows instead of forcing the cycle-exact step() path.  Off
-     * keeps the reference path for differential testing; results are
-     * bit-identical either way.
-     */
-    bool specMemFastPath = true;
+    /** How Machine::run dispatches cycles (no effect on simulated
+     *  behaviour: every result is bit-identical in both tiers). */
+    Dispatch dispatch = Dispatch::Fast;
 
     SpecBufferConfig specBuffers;
     HandlerCosts handlers;
@@ -122,15 +127,6 @@ struct SystemConfig
 
     /** Cycles charged per runtime trap before its memory traffic. */
     std::uint32_t trapBaseCycles = 10;
-};
-
-/** What a CPU is doing in a given cycle, for Fig. 10 accounting. */
-enum class CpuState : std::uint8_t
-{
-    Idle,       ///< parked outside any STL
-    Run,        ///< executing application instructions
-    Wait,       ///< waiting to become head / overflow or sync stall
-    Overhead,   ///< inside a TLS handler (Table 1 costs)
 };
 
 } // namespace jrpm

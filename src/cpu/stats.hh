@@ -123,9 +123,9 @@ struct SpanHist
 
 /*
  * Stats field tables.  Each row names one field once; the struct
- * declarations below, Machine::publishMetrics, the report JSON, the
- * fast-path differential and the forge capsule are all generated from
- * them.  A table macro takes one handler per row kind:
+ * declarations below, Machine::publishMetrics, the report JSON,
+ * outcomeDiff and the forge capsule are all generated from them.  A
+ * table macro takes one handler per row kind:
  *
  *   BUCKET(member)                       double Fig. 10 bucket
  *   COUNTER(member, metric, key[, diff]) std::uint64_t event count
@@ -140,11 +140,11 @@ struct SpanHist
  * `metric` is the MetricsRegistry counter (histogram for SAMPLES)
  * under the run's "tls." or "tls.loop<id>." prefix, `key` the report
  * JSON member; "" for either means the field is not published there.
- * `diff` says whether the fast-path differential compares the field:
+ * `diff` says whether outcomeDiff (core/jrpm.hh) compares the field:
  * dispatch-shape counters describe how the simulator stepped, not
- * what the simulated machine did, and may differ.  Rows are in report
- * JSON order within each kind.  Adding a counter is one row plus its
- * increment.
+ * what the simulated machine did, and differ between the fast and
+ * the exact dispatch tier.  Rows are in report JSON order within each
+ * kind.  Adding a counter is one row plus its increment.
  */
 
 /**

@@ -144,127 +144,60 @@ CaseResult::failing(bool faults_active) const
     return pipelineDiverged || forcedDiverged > 0;
 }
 
-namespace
-{
-
-/**
- * First semantic difference between the fast-path-on and -off
- * pipeline reports of one scenario ("" when equivalent).  Excludes
- * exactly the dispatch-shape telemetry — the ExecStats rows whose
- * `diff` column is false (cpu/stats.hh) — which counts how the
- * simulator stepped and legitimately differs between the two modes.
- * Everything observable about the simulated machine must match
- * bit-for-bit: cycle/instruction counts, the Fig. 10 buckets (double
- * accounting included), violations and their address map, forwarding
- * and occupancy histograms, cache hit/miss counters, VM output, and
- * the oracle's memory checksum.
- */
-std::string
-semanticDiff(const JrpmReport &on, const JrpmReport &off)
-{
-    std::string d;
-    auto u64 = [&](const char *what, std::uint64_t a,
-                   std::uint64_t b) {
-        if (d.empty() && a != b)
-            d = strfmt("%s: on %" PRIu64 " off %" PRIu64, what, a, b);
-    };
-    auto num = [&](const char *what, double a, double b) {
-        if (d.empty() && a != b)
-            d = strfmt("%s: on %.17g off %.17g", what, a, b);
-    };
-    auto hist = [&](const char *what, const SpanHist &a,
-                    const SpanHist &b) {
-        u64(strfmt("%s.count", what).c_str(), a.count, b.count);
-        u64(strfmt("%s.sum", what).c_str(), a.sum, b.sum);
-        u64(strfmt("%s.max", what).c_str(), a.max, b.max);
-    };
-
-    // The fast path only exists in speculative mode; the sequential
-    // golden must be untouched by the knob.
-    u64("seqMain.cycles", on.seqMain.cycles, off.seqMain.cycles);
-    u64("seqMain.memChecksum", on.seqMain.memChecksum,
-        off.seqMain.memChecksum);
-
-    const RunOutcome &a = on.tls;
-    const RunOutcome &b = off.tls;
-    u64("tls.halted", a.halted, b.halted);
-    u64("tls.uncaught", a.uncaught, b.uncaught);
-    u64("tls.exitValue", a.exitValue, b.exitValue);
-    u64("tls.cycles", a.cycles, b.cycles);
-    u64("tls.insts", a.insts, b.insts);
-    u64("tls.memChecksum", a.memChecksum, b.memChecksum);
-    if (d.empty() && a.vm.output != b.vm.output)
-        d = "tls.vm.output differs";
-    u64("tls.l1Hits", a.l1Hits, b.l1Hits);
-    u64("tls.l1Misses", a.l1Misses, b.l1Misses);
-    u64("tls.l2Hits", a.l2Hits, b.l2Hits);
-    u64("tls.l2Misses", a.l2Misses, b.l2Misses);
-
-    const ExecStats &sa = a.stats;
-    const ExecStats &sb = b.stats;
-#define JRPM_DIFF_BUCKET(m) num("stats." #m, sa.m, sb.m);
-#define JRPM_DIFF_SCALAR(path, metric, key, diff)                            \
-    if (diff)                                                                \
-        u64("stats." #path, sa.path, sb.path);
-#define JRPM_DIFF_HIST(m, key, diff)                                         \
-    if (diff)                                                                \
-        hist("stats." #m, sa.m, sb.m);
-#define JRPM_DIFF_CAUSES(m, n, name, metric, key, diff)                      \
-    if (diff)                                                                \
-        for (std::size_t c = 0; c < n; ++c)                                  \
-            u64(strfmt("stats." #m "[%s]", name(c)).c_str(), sa.m[c],      \
-                sb.m[c]);
-    JRPM_EXEC_STATS(JRPM_DIFF_BUCKET, JRPM_DIFF_SCALAR, JRPM_DIFF_SCALAR,
-                    JRPM_DIFF_HIST, JRPM_DIFF_CAUSES)
-#undef JRPM_DIFF_BUCKET
-#undef JRPM_DIFF_SCALAR
-#undef JRPM_DIFF_HIST
-#undef JRPM_DIFF_CAUSES
-    if (d.empty() && sa.violationAddrs != sb.violationAddrs)
-        d = "stats.violationAddrs differs";
-    return d;
-}
-
-} // namespace
-
 DifferentialResult
 runFastPathDifferential(const CampaignConfig &cfg)
 {
     DifferentialResult res;
     res.cases = cfg.cases;
 
-    JrpmConfig onCfg = cfg.base;
-    onCfg.sys.specMemFastPath = true;
-    JrpmConfig offCfg = cfg.base;
-    offCfg.sys.specMemFastPath = false;
+    JrpmConfig fastCfg = cfg.base;
+    fastCfg.sys.dispatch = Dispatch::Fast;
+    JrpmConfig exactCfg = cfg.base;
+    exactCfg.sys.dispatch = Dispatch::Exact;
 
     for (std::uint32_t i = 0; i < cfg.cases; ++i) {
         const ScenarioSpec spec = generate(cfg.seed + i, cfg.axes);
-        JrpmReport ron, roff;
-        const CaseResult con = runCase(spec, onCfg, cfg.forcedSweep, &ron);
-        const CaseResult coff =
-            runCase(spec, offCfg, cfg.forcedSweep, &roff);
+        JrpmReport fast, exact;
+        const CaseResult cf =
+            runCase(spec, fastCfg, cfg.forcedSweep, &fast);
+        const CaseResult ce =
+            runCase(spec, exactCfg, cfg.forcedSweep, &exact);
 
-        res.fastMemRetired += ron.tls.stats.specFastMem;
-        res.sigHits += ron.tls.stats.sigHits;
-        res.slowSteps += ron.tls.stats.specSlowSteps;
+        res.fastMemRetired += fast.tls.stats.specFastMem;
+        res.sigHits += fast.tls.stats.sigHits;
+        res.slowSteps += fast.tls.stats.specSlowSteps;
 
+        const ExecStats &es = exact.tls.stats;
         std::string d;
-        if (!con.ok || !coff.ok)
-            d = strfmt("pipeline error (on: %s; off: %s)",
-                       con.ok ? "ok" : con.error.c_str(),
-                       coff.ok ? "ok" : coff.error.c_str());
-        else if (con.pipelineDiverged != coff.pipelineDiverged)
-            d = strfmt("pipelineDiverged: on %d off %d",
-                       con.pipelineDiverged, coff.pipelineDiverged);
-        else if (con.forcedLoops != coff.forcedLoops ||
-                 con.forcedDiverged != coff.forcedDiverged)
-            d = strfmt("forced sweep: on %u/%u diverged, "
-                       "off %u/%u diverged",
-                       con.forcedDiverged, con.forcedLoops,
-                       coff.forcedDiverged, coff.forcedLoops);
-        else
-            d = semanticDiff(ron, roff);
+        if (!cf.ok || !ce.ok)
+            d = strfmt("pipeline error (fast: %s; exact: %s)",
+                       cf.ok ? "ok" : cf.error.c_str(),
+                       ce.ok ? "ok" : ce.error.c_str());
+        else if (es.burstSpans.count || es.specSlowSteps ||
+                 es.specFastMem)
+            // Exact dispatch must never reach the fast path, or the
+            // comparison below checks the fast path against itself.
+            d = strfmt("exact run used the fast path: %" PRIu64
+                       " windows, %" PRIu64 " slow steps, %" PRIu64
+                       " in-window mem retires",
+                       es.burstSpans.count, es.specSlowSteps,
+                       es.specFastMem);
+        else if (cf.pipelineDiverged != ce.pipelineDiverged)
+            d = strfmt("pipelineDiverged: fast %d exact %d",
+                       cf.pipelineDiverged, ce.pipelineDiverged);
+        else if (cf.forcedLoops != ce.forcedLoops ||
+                 cf.forcedDiverged != ce.forcedDiverged)
+            d = strfmt("forced sweep: fast %u/%u diverged, "
+                       "exact %u/%u diverged",
+                       cf.forcedDiverged, cf.forcedLoops,
+                       ce.forcedDiverged, ce.forcedLoops);
+        else if (const std::string o =
+                     outcomeDiff(fast.seqMain, exact.seqMain);
+                 !o.empty())
+            d = "seqMain." + o;
+        else if (const std::string o = outcomeDiff(fast.tls, exact.tls);
+                 !o.empty())
+            d = "tls." + o;
         if (!d.empty())
             res.mismatches.push_back({spec.seed, d});
     }
@@ -280,7 +213,7 @@ DifferentialResult::summary() const
 {
     std::string s = strfmt(
         "fast-path differential: %u cases, %zu mismatching\n"
-        "on-run telemetry: %" PRIu64 " in-window mem retires, "
+        "fast-run telemetry: %" PRIu64 " in-window mem retires, "
         "%" PRIu64 " signature hits, %" PRIu64 " exact fallbacks\n",
         cases, mismatches.size(), fastMemRetired, sigHits,
         slowSteps);

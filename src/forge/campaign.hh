@@ -198,7 +198,7 @@ struct CampaignResult
 CaseResult runCase(const ScenarioSpec &spec, const JrpmConfig &base,
                    bool forced_sweep, JrpmReport *rep_out = nullptr);
 
-/** One scenario whose fast-path-on and fast-path-off runs differed. */
+/** One scenario whose fast and exact runs differed. */
 struct DifferentialMismatch
 {
     std::uint64_t seed = 0;
@@ -209,9 +209,9 @@ struct DifferentialMismatch
 struct DifferentialResult
 {
     std::uint32_t cases = 0;
-    /** Telemetry of the fast-path-on runs, summed over all cases:
-     *  proof the differential exercised the fast path rather than
-     *  comparing the exact stepper against itself. */
+    /** Telemetry of the fast runs, summed over all cases: proof the
+     *  differential exercised the fast path rather than comparing the
+     *  exact stepper against itself. */
     std::uint64_t fastMemRetired = 0; ///< in-window memory retires
     std::uint64_t sigHits = 0;        ///< signature probes that hit
     std::uint64_t slowSteps = 0;      ///< cycle-exact fallbacks
@@ -222,21 +222,23 @@ struct DifferentialResult
 };
 
 /**
- * The speculative-fast-path equivalence campaign: run every scenario
- * through the full pipeline twice — `sys.specMemFastPath` forced on
- * and forced off — and require semantically identical outcomes: the
- * same results (exit value, output, halted/uncaught), the same cycle
- * and instruction counts, Fig. 10 buckets, violation / commit /
- * forwarding / cache telemetry, and the same oracle-captured memory
- * checksum, for the pipeline's TLS run and (under `forcedSweep`)
- * every forced decomposition.  Dispatch-shape counters (burst spans,
- * slow steps, signature probes, in-window retires) are the only
- * fields allowed to differ: they describe how the simulator stepped,
- * not what the simulated machine did.
+ * The fast-path equivalence campaign: run every scenario through the
+ * full pipeline twice, with `sys.dispatch` Fast and Exact
+ * (Machine::step() every cycle), and report a mismatch unless
+ *  - both pipelines complete with the same oracle verdict;
+ *  - the forced sweep (under `forcedSweep`) forces and diverges on
+ *    the same number of loops; the forced runs' own outcomes are not
+ *    compared;
+ *  - the pipeline's sequential (`seqMain`) and speculative (`tls`)
+ *    outcomes agree under outcomeDiff(): results, VM output, cycles,
+ *    instructions, Fig. 10 buckets, violation / commit / forwarding
+ *    / cache telemetry and the oracle's memory checksum;
+ *  - the exact run opened no speculative window, took no fast-path
+ *    slow step and retired no memory op in a window.
  *
  * Honors `cases`, `seed`, `axes`, `forcedSweep` and `base`; runs
- * in-process and sequentially (each case is its own on/off pair, so
- * there is no cross-case state to isolate).
+ * in-process and sequentially (each case is its own fast/exact pair,
+ * so there is no cross-case state to isolate).
  */
 DifferentialResult runFastPathDifferential(const CampaignConfig &cfg);
 

@@ -64,7 +64,7 @@ Machine::Machine(const SystemConfig &config)
     // Batch accounting adds share*k at once where step() adds share k
     // times; that is bit-identical only when share is exactly
     // representable, i.e. numCpus is a power of two.
-    fastPathOk = cfg.numCpus != 0 &&
+    fastPathOk = cfg.dispatch == Dispatch::Fast && cfg.numCpus != 0 &&
                  (cfg.numCpus & (cfg.numCpus - 1)) == 0;
     burstRunners.reserve(cfg.numCpus);
     roundMem.reserve(cfg.numCpus);
@@ -160,9 +160,10 @@ Machine::step()
 // run() advances through advance(), which consumes 1..budget cycles
 // with accounting bit-identical to that many step() calls.  Cycles
 // where something order-sensitive happens (speculation control,
-// memory traffic under speculation, squashes, resolvable waits, armed
-// fault injectors) always go through step() itself; everything in
-// between is batched or burst.  See DESIGN.md, "Simulator fast path".
+// speculative memory ops the signatures cannot prove core-local,
+// squashes, resolvable waits, armed fault injectors) always go
+// through step() itself; everything in between is batched or burst.
+// See DESIGN.md, "Simulator dispatch".
 // ---------------------------------------------------------------------
 
 bool
@@ -194,8 +195,6 @@ bool
 Machine::memEligibleFast(const Core &c, Op op, bool store, Addr addr,
                          std::uint32_t len) const
 {
-    if (!cfg.specMemFastPath)
-        return false;
     if (c.mode != CpuMode::Speculative || c.directMode)
         return false;
     if (addr % len != 0 || !mem.valid(addr, len))
@@ -372,9 +371,9 @@ Machine::advance(std::uint64_t budget)
 {
     if (budget == 0)
         return 0;
-    // Armed fault injectors poll every cycle; non-power-of-two CPU
-    // counts make batched double accounting inexact.  Both are rare:
-    // take the reference path wholesale.
+    // Exact dispatch, armed fault injectors (they poll every cycle)
+    // and non-power-of-two CPU counts (batched double accounting is
+    // inexact there) take the reference path wholesale.
     if (!fastPathOk || (fault && fault->armed())) {
         JRPM_HPROF(StepExact);
         step();

@@ -100,9 +100,6 @@ class Machine
      */
     bool run(std::uint64_t max_cycles = ~0ull);
 
-    /** Advance the machine by one cycle. */
-    void step();
-
     bool halted() const;
     Cycle now() const { return cycle; }
 
@@ -276,8 +273,9 @@ class Machine
     // ---- event-horizon fast path ------------------------------------
     /** 1/numCpus, hoisted out of the per-cycle accounting. */
     double specShare = 0.25;
-    /** numCpus is a power of two, so batch-adding share*k is bit-
-     *  identical to k repeated adds; otherwise the fast path is off. */
+    /** Fast dispatch, and numCpus is a power of two, so batch-adding
+     *  share*k is bit-identical to k repeated adds; otherwise every
+     *  cycle takes step(). */
     bool fastPathOk = true;
     /** Scratch list of cores executing in the current burst window
      *  (reused across windows to avoid per-window allocation). */
@@ -357,6 +355,9 @@ class Machine
     TraceState specWindowState(const Core &c) const;
 
     // ---- stepping ---------------------------------------------------
+    /** Advance the machine by one cycle: the per-cycle reference
+     *  that Dispatch::Exact runs and every fast path must match. */
+    void step();
     void stepCpu(Core &c);
     void execute(Core &c);
     void execMemOp(Core &c, const Inst &inst);

@@ -4,8 +4,9 @@
  * tests/corpus/ must load, render to its recorded program hash,
  * reproduce its recorded sequential exit checksum, and replay
  * cleanly through the full pipeline plus a forced per-loop
- * speculation sweep under the strict differential oracle — with the
- * speculative memory fast path BOTH forced on and forced off.
+ * speculation sweep under the strict differential oracle, in BOTH
+ * dispatch tiers; the exact tier's sequential and speculative
+ * outcomes must also match the fast tier's under outcomeDiff().
  *
  * Distilled corpora land in the same directory and format, so every
  * scenario the coverage-guided forge promotes to a regression case
@@ -31,28 +32,28 @@ namespace
 using forge::CorpusEntry;
 
 JrpmConfig
-replayConfig(bool fast_path)
+replayConfig(Dispatch dispatch)
 {
     JrpmConfig cfg;
     cfg.oracle.mode = OracleMode::Strict;
     cfg.sys.memBytes = 8u << 20;
     cfg.vm.heapBytes = 4u << 20;
-    cfg.sys.specMemFastPath = fast_path;
+    cfg.sys.dispatch = dispatch;
     return cfg;
 }
 
-class CorpusReplay : public ::testing::TestWithParam<bool>
+class CorpusReplay : public ::testing::TestWithParam<Dispatch>
 {
 };
 
 TEST_P(CorpusReplay, EveryEntryReplaysCleanly)
 {
-    const bool fastPath = GetParam();
+    const Dispatch dispatch = GetParam();
     const std::vector<std::string> files =
         forge::listCorpus(JRPM_FORGE_CORPUS_DIR);
     ASSERT_GE(files.size(), 10u)
         << "checked-in corpus missing at " JRPM_FORGE_CORPUS_DIR;
-    const JrpmConfig cfg = replayConfig(fastPath);
+    const JrpmConfig cfg = replayConfig(dispatch);
     for (const std::string &path : files) {
         CorpusEntry e;
         std::string err;
@@ -70,20 +71,32 @@ TEST_P(CorpusReplay, EveryEntryReplaysCleanly)
             EXPECT_EQ(seq.exitValue, e.expectedExit) << path;
         }
 
+        JrpmReport rep;
         const forge::CaseResult cr =
-            forge::runCase(e.spec, cfg, /*forced_sweep=*/true);
+            forge::runCase(e.spec, cfg, /*forced_sweep=*/true, &rep);
         EXPECT_TRUE(cr.ok) << path << ": " << cr.error;
         EXPECT_FALSE(cr.failing(/*faults_active=*/false))
             << path << ": " << cr.detail;
+
+        if (dispatch == Dispatch::Exact) {
+            EXPECT_EQ(rep.tls.stats.burstSpans.count, 0u)
+                << path << ": the exact tier opened a fast-path window";
+            JrpmReport fast;
+            forge::runCase(e.spec, replayConfig(Dispatch::Fast),
+                           /*forced_sweep=*/false, &fast);
+            EXPECT_EQ(outcomeDiff(fast.seqMain, rep.seqMain), "")
+                << path;
+            EXPECT_EQ(outcomeDiff(fast.tls, rep.tls), "") << path;
+        }
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(FastPathOnOff, CorpusReplay,
-                         ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool> &i) {
-                             return i.param ? "FastPathOn"
-                                            : "FastPathOff";
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    Tier, CorpusReplay,
+    ::testing::Values(Dispatch::Fast, Dispatch::Exact),
+    [](const ::testing::TestParamInfo<Dispatch> &i) {
+        return i.param == Dispatch::Fast ? "Fast" : "Exact";
+    });
 
 } // namespace
 } // namespace jrpm

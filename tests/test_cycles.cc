@@ -4,7 +4,8 @@
  * `ExecStats` buckets and instruction counts for three small workloads
  * in sequential, profiled and TLS modes, pinned to the values the
  * cycle-accurate reference loop produced before the event-horizon
- * fast path landed.
+ * fast path landed.  Every row holds in both dispatch tiers: Exact
+ * (Machine::step() every cycle) and Fast.
  *
  * These numbers ARE the paper's figures: Fig. 9/10 and Tables 3-4 are
  * derived from exactly these counters, so any simulator change that
@@ -16,6 +17,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
@@ -72,28 +74,15 @@ smallArgs(const std::string &name)
     return {300}; // IDEA
 }
 
-/**
- * JRPM_SPEC_FASTPATH=0 disables the speculative-window memory fast
- * path so the whole suite runs against the cycle-exact reference
- * dispatch.  The ExecStats goldens must hold either way (the fast
- * path is bit-identical by construction); only the dispatch-shape
- * telemetry (windows, slow steps, in-window retires) differs.
- */
-bool
-specFastPathEnabled()
-{
-    const char *env = std::getenv("JRPM_SPEC_FASTPATH");
-    return !(env && *env == '0');
-}
-
 RunOutcome
-runMode(const std::string &workload, const std::string &mode)
+runMode(const std::string &workload, const std::string &mode,
+        Dispatch dispatch)
 {
     Workload w = wl::workloadByName(workload);
     const std::vector<Word> args = smallArgs(workload);
     w.mainArgs = args;
     JrpmConfig cfg;
-    cfg.sys.specMemFastPath = specFastPathEnabled();
+    cfg.sys.dispatch = dispatch;
     JrpmSystem sys(w, cfg);
     if (mode == "seq")
         return sys.runSequential(args, false, nullptr);
@@ -127,19 +116,21 @@ printRow(const char *workload, const char *mode, const RunOutcome &out)
                 static_cast<unsigned long long>(st.violations));
 }
 
-class GoldenCycles : public ::testing::TestWithParam<Golden>
+class GoldenCycles
+    : public ::testing::TestWithParam<std::tuple<Golden, Dispatch>>
 {
 };
 
 TEST_P(GoldenCycles, ExactMatch)
 {
-    const Golden &g = GetParam();
-    const RunOutcome out = runMode(g.workload, g.mode);
+    const auto &[g, dispatch] = GetParam();
+    const RunOutcome out = runMode(g.workload, g.mode, dispatch);
     ASSERT_TRUE(out.halted) << g.workload << "/" << g.mode;
     ASSERT_FALSE(out.uncaught) << g.workload << "/" << g.mode;
 
     if (regenRequested()) {
-        printRow(g.workload, g.mode, out);
+        if (dispatch == Dispatch::Exact)
+            printRow(g.workload, g.mode, out);
         GTEST_SKIP() << "golden regeneration mode";
     }
 
@@ -160,28 +151,28 @@ TEST_P(GoldenCycles, ExactMatch)
 
 TEST_P(GoldenCycles, RepeatableAcrossRuns)
 {
-    const Golden &g = GetParam();
+    const auto &[g, dispatch] = GetParam();
     if (regenRequested())
         GTEST_SKIP() << "golden regeneration mode";
-    const RunOutcome a = runMode(g.workload, g.mode);
-    const RunOutcome b = runMode(g.workload, g.mode);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.insts, b.insts);
-    EXPECT_EQ(a.stats.serial, b.stats.serial);
-    EXPECT_EQ(a.stats.runUsed, b.stats.runUsed);
-    EXPECT_EQ(a.stats.waitUsed, b.stats.waitUsed);
-    EXPECT_EQ(a.stats.overhead, b.stats.overhead);
-    EXPECT_EQ(a.exitValue, b.exitValue);
+    const RunOutcome a = runMode(g.workload, g.mode, dispatch);
+    const RunOutcome b = runMode(g.workload, g.mode, dispatch);
+    EXPECT_EQ(outcomeDiff(a, b), "");
 }
 
 std::string
-goldenName(const ::testing::TestParamInfo<Golden> &info)
+goldenName(const ::testing::TestParamInfo<std::tuple<Golden, Dispatch>>
+               &info)
 {
-    return std::string(info.param.workload) + "_" + info.param.mode;
+    const auto &[g, dispatch] = info.param;
+    return std::string(g.workload) + "_" + g.mode +
+           (dispatch == Dispatch::Fast ? "_Fast" : "_Exact");
 }
 
-INSTANTIATE_TEST_SUITE_P(Workloads, GoldenCycles,
-                         ::testing::ValuesIn(kGolden), goldenName);
+INSTANTIATE_TEST_SUITE_P(
+    Workloads, GoldenCycles,
+    ::testing::Combine(::testing::ValuesIn(kGolden),
+                       ::testing::Values(Dispatch::Fast, Dispatch::Exact)),
+    goldenName);
 
 // ---------------------------------------------------------------------
 // Dependence-telemetry goldens.  The observatory counters must be pure
@@ -206,12 +197,12 @@ struct TelemetryGolden
 };
 
 /**
- * Dispatch-shape telemetry with the speculative-memory fast path on
- * (the default): memory ops whose signatures prove them core-local
- * retire inside burst windows, so windows are long and slow steps
- * few.
+ * Telemetry of the fast tier, dispatch shape included: memory ops
+ * whose signatures prove them core-local retire inside burst
+ * windows.  The exact tier opens no window and must match the fast
+ * run under outcomeDiff().
  */
-const TelemetryGolden kTelemetryFast[] = {
+const TelemetryGolden kTelemetry[] = {
     // clang-format off
     {"Assignment", 4922ull, 21017ull, 4282ull, 3677ull, 3841ull, 1558ull, 1440ull, 5ull, 0ull},
     {"Huffman", 3038ull, 20039ull, 6097ull, 6416ull, 1ull, 0ull, 2400ull, 0ull, 0ull},
@@ -219,22 +210,7 @@ const TelemetryGolden kTelemetryFast[] = {
     // clang-format on
 };
 
-/**
- * The same runs with JRPM_SPEC_FASTPATH=0: every speculative memory
- * op falls back to the cycle-exact step, as before the fast path
- * landed.  The ExecStats goldens above hold bit-identically in both
- * modes; only this dispatch shape differs.
- */
-const TelemetryGolden kTelemetryExact[] = {
-    // clang-format off
-    {"Assignment", 6445ull, 17594ull, 7705ull, 0ull, 3841ull, 1558ull, 1440ull, 5ull, 0ull},
-    {"Huffman", 3913ull, 14308ull, 11828ull, 0ull, 1ull, 0ull, 2400ull, 0ull, 0ull},
-    {"IDEA", 11476ull, 41542ull, 18930ull, 0ull, 13ull, 0ull, 2716ull, 0ull, 0ull},
-    // clang-format on
-};
-
-/** Print one row in source form, ready to paste into the telemetry
- *  table matching the active JRPM_SPEC_FASTPATH mode. */
+/** Print one row in source form, ready to paste into kTelemetry. */
 void
 printTelemetryRow(const char *workload, const ExecStats &st)
 {
@@ -258,10 +234,8 @@ printTelemetryRow(const char *workload, const ExecStats &st)
 
 TEST(TelemetryGoldens, TlsCountersExactMatch)
 {
-    const auto &table =
-        specFastPathEnabled() ? kTelemetryFast : kTelemetryExact;
-    for (const TelemetryGolden &g : table) {
-        const RunOutcome out = runMode(g.workload, "tls");
+    for (const TelemetryGolden &g : kTelemetry) {
+        const RunOutcome out = runMode(g.workload, "tls", Dispatch::Fast);
         ASSERT_TRUE(out.halted) << g.workload;
         const ExecStats &st = out.stats;
 
@@ -296,6 +270,13 @@ TEST(TelemetryGoldens, TlsCountersExactMatch)
             classes += st.violationsByClass[k];
         EXPECT_EQ(classes, st.violations) << g.workload;
         EXPECT_GE(causes, st.violations) << g.workload;
+
+        const RunOutcome exact =
+            runMode(g.workload, "tls", Dispatch::Exact);
+        EXPECT_EQ(outcomeDiff(out, exact), "") << g.workload;
+        EXPECT_EQ(exact.stats.burstSpans.count, 0u) << g.workload;
+        EXPECT_EQ(exact.stats.specSlowSteps, 0u) << g.workload;
+        EXPECT_EQ(exact.stats.specFastMem, 0u) << g.workload;
     }
     if (regenRequested())
         GTEST_SKIP() << "golden regeneration mode";

@@ -124,30 +124,15 @@ expectSameCase(const forge::CaseResult &a, const forge::CaseResult &b)
     EXPECT_EQ(a.silent, b.silent);
     EXPECT_EQ(a.faultsInjected, b.faultsInjected);
     EXPECT_EQ(a.detail, b.detail);
-    EXPECT_DOUBLE_EQ(a.speedup, b.speedup);
-    EXPECT_EQ(a.seqCycles, b.seqCycles);
-    EXPECT_EQ(a.tlsCycles, b.tlsCycles);
-    EXPECT_EQ(a.violations, b.violations);
-    EXPECT_EQ(a.commits, b.commits);
-    EXPECT_EQ(a.overflowStalls, b.overflowStalls);
-    EXPECT_EQ(a.specWindows, b.specWindows);
-    EXPECT_EQ(a.specWindowInsts, b.specWindowInsts);
-    EXPECT_EQ(a.specSlowSteps, b.specSlowSteps);
-    EXPECT_EQ(a.specFastMem, b.specFastMem);
-    EXPECT_EQ(a.sigHits, b.sigHits);
-    EXPECT_EQ(a.sigFalsePositives, b.sigFalsePositives);
-    EXPECT_EQ(a.forwardedLoads, b.forwardedLoads);
-    EXPECT_DOUBLE_EQ(a.meanBurst, b.meanBurst);
+    // Doubles travel at 17 significant digits, so they round-trip
+    // exactly too.
+#define JRPM_EXPECT_SAME(type, member, ...)                                  \
+    EXPECT_EQ(a.member, b.member) << #member;
+    JRPM_CASE_TELEMETRY(JRPM_EXPECT_SAME)
+#undef JRPM_EXPECT_SAME
     EXPECT_EQ(a.squashCauses, b.squashCauses);
     EXPECT_EQ(a.violationsByClass, b.violationsByClass);
     EXPECT_EQ(a.loopSquashes, b.loopSquashes);
-    EXPECT_EQ(a.governorAborts, b.governorAborts);
-    EXPECT_EQ(a.soloEntries, b.soloEntries);
-    EXPECT_EQ(a.stlEntries, b.stlEntries);
-    EXPECT_EQ(a.syncLockPlans, b.syncLockPlans);
-    EXPECT_EQ(a.multilevelPlans, b.multilevelPlans);
-    EXPECT_EQ(a.demoted, b.demoted);
-    EXPECT_DOUBLE_EQ(a.wallMs, b.wallMs);
     EXPECT_EQ(a.sigHash, b.sigHash);
 }
 

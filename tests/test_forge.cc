@@ -604,16 +604,15 @@ TEST(ForgeDistill, MinimalCorpusCoversEveryObservedSignature)
 
 // ---- speculative fast-path differential ------------------------------
 
-TEST(ForgeDifferential, FastPathOnOffSemanticallyIdentical)
+TEST(ForgeDifferential, FastPathMatchesExactStep)
 {
-    // Tier-1 slice of the release equivalence campaign (the bench
-    // runs >= 200 cases via --diff-fastpath): each scenario runs the
-    // full pipeline with the signature fast path forced on and forced
-    // off, and everything the simulated machine can observe — cycles,
-    // Fig. 10 buckets, violations, forwarding, cache counters, VM
-    // output, the strict oracle's memory checksum — must match
-    // bit-for-bit, for the pipeline run and every forced
-    // decomposition.
+    // Tier-1 slice of the equivalence campaign (the bench runs >= 200
+    // cases via --diff-fastpath): each scenario runs the full
+    // pipeline in the fast and the exact dispatch tier.  The
+    // pipeline's sequential and speculative outcomes — cycles, Fig.
+    // 10 buckets, violations, forwarding, cache counters, VM output,
+    // the strict oracle's memory checksum — must match bit-for-bit,
+    // and the forced sweep must force and diverge on as many loops.
     forge::CampaignConfig cc;
     cc.cases = 12;
     cc.seed = 0xd1ff;
@@ -622,7 +621,7 @@ TEST(ForgeDifferential, FastPathOnOffSemanticallyIdentical)
         forge::runFastPathDifferential(cc);
     EXPECT_TRUE(res.clean()) << res.summary();
     EXPECT_EQ(res.cases, 12u);
-    // The differential is vacuous unless the on-runs actually took
+    // The differential is vacuous unless the fast runs actually took
     // the fast path.
     EXPECT_GT(res.fastMemRetired, 0u) << res.summary();
 }

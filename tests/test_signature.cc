@@ -213,7 +213,7 @@ TEST(SignatureDeterminism, SigHashMatchesRecomputation)
 TEST(SignatureGolden, StarterScenarioSignaturesArePinned)
 {
     // The behaviour signature of every starter scenario under the
-    // default (fast-path-on) strict config, frozen.  A mismatch
+    // default (fast-dispatch) strict config, frozen.  A mismatch
     // means scenario *behaviour* changed (machine semantics, governor
     // policy, plan selection, ...) or the signature definition
     // changed — both invalidate the distilled-corpus coverage story,
