@@ -79,7 +79,6 @@
 #include "forge/corpus.hh"
 #include "forge/forge.hh"
 #include "forge/shrink.hh"
-#include "forge/signature.hh"
 #include "forge/weights.hh"
 
 namespace jrpm
@@ -272,7 +271,7 @@ abortSeedHit(std::uint64_t seed)
  *  and deadlocks need no handling here — dying *is* the protocol
  *  (the supervisor reaps us and harvests --forensics). */
 int
-workerMain(const Options &opt)
+workerMain(const Options &opt, const forge::CampaignConfig &cc)
 {
     std::uint64_t lo = 0, hi = 0;
     unsigned attempt = 0;
@@ -281,7 +280,7 @@ workerMain(const Options &opt)
                     &attempt) != 3)
         fatal("bad --worker-range '%s'", opt.workerRange.c_str());
 
-    JrpmConfig cfg = forgeConfig(opt);
+    JrpmConfig cfg = cc.base;
     if (!opt.forensics.empty()) {
         const int pid = static_cast<int>(getpid());
         // Crash record (signal + pid) for the supervisor's harvest.
@@ -296,7 +295,6 @@ workerMain(const Options &opt)
             opt.forensics + strfmt("/worker-%d-metrics.json", pid);
     }
 
-    const std::uint32_t axes = forge::parseAxes(opt.axes);
     // Guided fleet batches: the supervisor hands us the weight bank
     // its batch entered with, so generateWeighted() here derives the
     // exact specs the in-process guided campaign would.
@@ -310,8 +308,8 @@ workerMain(const Options &opt)
         std::printf("S %016" PRIx64 "\n", s);
         std::fflush(stdout);
         const ScenarioSpec spec =
-            weighted ? forge::generateWeighted(s, axes, bank)
-                     : forge::generate(s, axes);
+            weighted ? forge::generateWeighted(s, cc.axes, bank)
+                     : forge::generate(s, cc.axes);
         if (abortSeedHit(spec.seed))
             std::abort();
 
@@ -319,15 +317,9 @@ workerMain(const Options &opt)
         const auto t0 = std::chrono::steady_clock::now();
         try {
             ScopedFatalCapture guard;
-            cr = forge::runCase(spec, cfg, !opt.noForcedSweep);
+            cr = forge::runCase(spec, cfg, cc.forcedSweep);
         } catch (const std::exception &e) {
-            cr = forge::CaseResult{};
-            cr.seed = spec.seed;
-            cr.axes = spec.axes();
-            cr.stmts =
-                static_cast<std::uint32_t>(spec.body.size());
-            cr.error = e.what();
-            cr.sigHash = forge::signatureOf(cr).hash();
+            cr = forge::failedCase(spec, e.what());
         }
         cr.wallMs = std::chrono::duration<double, std::milli>(
                         std::chrono::steady_clock::now() - t0)
@@ -344,7 +336,7 @@ workerMain(const Options &opt)
  *  crash (the usual poison-case outcome) is classified by the
  *  supervisor from our wait status. */
 int
-workerReplayMain(const Options &opt)
+workerReplayMain(const Options &opt, const forge::CampaignConfig &cc)
 {
     CorpusEntry e;
     std::string err;
@@ -352,22 +344,20 @@ workerReplayMain(const Options &opt)
         std::fprintf(stderr, "worker-replay: %s\n", err.c_str());
         return 3;
     }
-    const JrpmConfig cfg = forgeConfig(opt);
     if (abortSeedHit(e.spec.seed))
         std::abort();
     forge::CaseResult cr;
     try {
         ScopedFatalCapture guard;
-        cr = forge::runCase(e.spec, cfg, !opt.noForcedSweep);
+        cr = forge::runCase(e.spec, cc.base, cc.forcedSweep);
     } catch (const std::exception &ex) {
         std::fprintf(stderr, "worker-replay: %s\n", ex.what());
         return 2;
     }
-    return cr.failing(!cfg.faultPlan.empty()) ? 2 : 0;
+    return cr.failing(!cc.base.faultPlan.empty()) ? 2 : 0;
 }
 
-/** Write the final metrics dump (shared by fleet and in-process
- *  campaign exits; see the comment at the campaignMain call site). */
+/** Write the final metrics dump. */
 void
 dumpFinalMetrics(const Options &opt)
 {
@@ -375,34 +365,27 @@ dumpFinalMetrics(const Options &opt)
         MetricsRegistry::global().writeFile(opt.metricsOut);
 }
 
-/** --distill: reduce a finished campaign to the minimal corpus that
- *  covers every observed behaviour signature. */
-void
-maybeDistill(const Options &opt, const forge::CampaignConfig &cc,
-             const forge::CampaignResult &res)
-{
-    if (opt.distillDir.empty())
-        return;
-    forge::DistillConfig dc;
-    dc.outDir = opt.distillDir;
-    const forge::DistillResult dr =
-        forge::distillCampaign(cc, res, dc);
-    std::printf("distilled: %u signatures -> %u entries "
-                "(%u shrink probes) under %s\n",
-                dr.observedSignatures, dr.entries, dr.shrinkProbes,
-                opt.distillDir.c_str());
-}
-
-int
-diffFastPathMain(const Options &opt)
+/** The campaign every campaign mode runs: scenarios, oracle, fault
+ *  plan and generation knobs from the command line. */
+forge::CampaignConfig
+campaignConfig(const Options &opt)
 {
     forge::CampaignConfig cc;
     cc.cases = opt.cases;
     cc.seed = opt.seed;
+    cc.jobs = opt.jobs;
     cc.axes = forge::parseAxes(opt.axes);
+    cc.corpusOut = opt.corpusOut;
     cc.forcedSweep = !opt.noForcedSweep;
+    cc.guided = opt.guided;
+    cc.guidedBatch = opt.guidedBatch;
     cc.base = forgeConfig(opt);
+    return cc;
+}
 
+int
+diffFastPathMain(const Options &opt, const forge::CampaignConfig &cc)
+{
     std::printf("fast-path differential campaign: %u cases, seed "
                 "0x%" PRIx64 ", axes %s, oracle %s%s\n",
                 cc.cases, cc.seed,
@@ -417,22 +400,16 @@ diffFastPathMain(const Options &opt)
     return res.clean() ? 0 : 1;
 }
 
-int
-fleetMain(const Options &opt, const char *argv0)
+forge::CampaignResult
+runFleetCampaign(const Options &opt, const forge::CampaignConfig &cc,
+                 const char *argv0)
 {
     if (opt.manifest.empty())
         fatal("--fleet needs --manifest=<path> (the journal that "
               "makes the campaign resumable)");
 
     fleet::FleetConfig fc;
-    fc.campaign.cases = opt.cases;
-    fc.campaign.seed = opt.seed;
-    fc.campaign.axes = forge::parseAxes(opt.axes);
-    fc.campaign.corpusOut = opt.corpusOut;
-    fc.campaign.forcedSweep = !opt.noForcedSweep;
-    fc.campaign.guided = opt.guided;
-    fc.campaign.guidedBatch = opt.guidedBatch;
-    fc.campaign.base = forgeConfig(opt);
+    fc.campaign = cc;
     fc.workers = opt.jobs;
     fc.caseTimeoutMs = opt.caseTimeoutMs;
     fc.chaosKillMs = opt.chaosKillMs;
@@ -459,21 +436,29 @@ fleetMain(const Options &opt, const char *argv0)
     std::printf("fleet campaign: %u cases over %u workers, seed "
                 "0x%" PRIx64 ", axes %s, oracle %s, %u ms/case, "
                 "manifest %s%s\n",
-                fc.campaign.cases, fc.workers, fc.campaign.seed,
-                forge::axesDescribe(fc.campaign.axes).c_str(),
-                oracleModeName(fc.campaign.base.oracle.mode),
+                cc.cases, fc.workers, cc.seed,
+                forge::axesDescribe(cc.axes).c_str(),
+                oracleModeName(cc.base.oracle.mode),
                 fc.caseTimeoutMs, fc.manifestPath.c_str(),
                 fc.chaosKillMs ? " [chaos]" : "");
-    const forge::CampaignResult res = fleet::runFleet(fc);
-    std::printf("%s", res.summary().c_str());
-    maybeDistill(opt, fc.campaign, res);
-    if (!opt.analyticsOut.empty() &&
-        forge::writeCampaignAnalytics(opt.analyticsOut, fc.campaign,
-                                      res))
-        std::printf("analytics: %s\n", opt.analyticsOut.c_str());
-    logReportSuppressed();
-    dumpFinalMetrics(opt);
-    return res.clean() ? 0 : 1;
+    return fleet::runFleet(fc);
+}
+
+forge::CampaignResult
+runInProcessCampaign(const forge::CampaignConfig &cc)
+{
+    std::printf("forge campaign: %u cases, seed 0x%" PRIx64
+                ", axes %s, oracle %s%s%s, %u jobs%s\n",
+                cc.cases, cc.seed,
+                forge::axesDescribe(cc.axes).c_str(),
+                oracleModeName(cc.base.oracle.mode),
+                cc.base.faultPlan.empty() ? "" : ", faults ",
+                cc.base.faultPlan.empty()
+                    ? ""
+                    : cc.base.faultPlan.describe().c_str(),
+                cc.jobs,
+                cc.guided ? ", guided" : "");
+    return forge::runCampaign(cc);
 }
 
 int
@@ -486,40 +471,30 @@ campaignMain(int argc, char **argv)
         return replayCorpus(opt);
     if (opt.shrinkDemo)
         return shrinkDemo(opt);
+    const forge::CampaignConfig cc = campaignConfig(opt);
     if (opt.diffFastPath)
-        return diffFastPathMain(opt);
+        return diffFastPathMain(opt, cc);
     if (!opt.workerRange.empty())
-        return workerMain(opt);
+        return workerMain(opt, cc);
     if (!opt.workerReplay.empty())
-        return workerReplayMain(opt);
-    if (opt.fleet)
-        return fleetMain(opt, argv[0]);
+        return workerReplayMain(opt, cc);
 
-    forge::CampaignConfig cc;
-    cc.cases = opt.cases;
-    cc.seed = opt.seed;
-    cc.jobs = opt.jobs;
-    cc.axes = forge::parseAxes(opt.axes);
-    cc.corpusOut = opt.corpusOut;
-    cc.forcedSweep = !opt.noForcedSweep;
-    cc.guided = opt.guided;
-    cc.guidedBatch = opt.guidedBatch;
-    cc.base = forgeConfig(opt);
-
-    std::printf("forge campaign: %u cases, seed 0x%" PRIx64
-                ", axes %s, oracle %s%s%s, %u jobs%s\n",
-                cc.cases, cc.seed,
-                forge::axesDescribe(cc.axes).c_str(),
-                oracleModeName(cc.base.oracle.mode),
-                cc.base.faultPlan.empty() ? "" : ", faults ",
-                cc.base.faultPlan.empty()
-                    ? ""
-                    : cc.base.faultPlan.describe().c_str(),
-                cc.jobs,
-                cc.guided ? ", guided" : "");
-    const forge::CampaignResult res = forge::runCampaign(cc);
+    const forge::CampaignResult res =
+        opt.fleet ? runFleetCampaign(opt, cc, argv[0])
+                  : runInProcessCampaign(cc);
     std::printf("%s", res.summary().c_str());
-    maybeDistill(opt, cc, res);
+    // --distill: reduce the finished campaign to the minimal corpus
+    // that covers every observed behaviour signature.
+    if (!opt.distillDir.empty()) {
+        forge::DistillConfig dc;
+        dc.outDir = opt.distillDir;
+        const forge::DistillResult dr =
+            forge::distillCampaign(cc, res, dc);
+        std::printf("distilled: %u signatures -> %u entries "
+                    "(%u shrink probes) under %s\n",
+                    dr.observedSignatures, dr.entries,
+                    dr.shrinkProbes, opt.distillDir.c_str());
+    }
     if (!opt.analyticsOut.empty() &&
         forge::writeCampaignAnalytics(opt.analyticsOut, cc, res))
         std::printf("analytics: %s\n", opt.analyticsOut.c_str());

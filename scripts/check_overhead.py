@@ -1,10 +1,9 @@
 #!/usr/bin/env python3
 """Gate the compiled-in-but-disabled host-profiler overhead at 5%.
 
-The observatory's contract is that compiling the profiler in
-(JRPM_HOSTPROF=ON, the default) costs nearly nothing while it is
-disabled: each instrumented scope adds one relaxed atomic load and a
-branch.  This script enforces that contract against the committed
+The observatory's contract is that the profiler, which every build
+compiles in, costs nearly nothing while it is disabled: each
+instrumented scope adds one relaxed atomic load and a branch.  This script enforces that contract against the committed
 simulator-speed trajectory.
 
 Method (same median normalization as check_simspeed.py, so host speed

@@ -9,8 +9,7 @@
  * the enable flag — and is merged into the global table by an explicit
  * flushThread() at natural drain points (end of Machine::run, end of
  * the pipeline).  When disabled, a timer costs one relaxed load and a
- * predictable branch; when compiled out (JRPM_HOSTPROF_ENABLED=0) it
- * costs nothing.
+ * predictable branch.
  *
  * Nesting is tracked per thread: a slot's "child" time is the time
  * spent in slots opened while it was the innermost one, so
@@ -26,10 +25,6 @@
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#ifndef JRPM_HOSTPROF_ENABLED
-#define JRPM_HOSTPROF_ENABLED 1
-#endif
 
 namespace jrpm
 {
@@ -87,11 +82,7 @@ extern std::atomic<bool> gEnabled;
 inline bool
 enabled()
 {
-#if JRPM_HOSTPROF_ENABLED
     return gEnabled.load(std::memory_order_relaxed);
-#else
-    return false;
-#endif
 }
 
 /** Enable or disable timing globally (timers already open still close
@@ -169,21 +160,16 @@ class ScopedHostTimer
   public:
     explicit ScopedHostTimer(HostSlot slot)
     {
-#if JRPM_HOSTPROF_ENABLED
         if (!gEnabled.load(std::memory_order_relaxed))
             return;
         armedSlot = static_cast<int>(slot);
         prev = tTable.current;
         tTable.current = armedSlot;
         start = now();
-#else
-        (void)slot;
-#endif
     }
 
     ~ScopedHostTimer()
     {
-#if JRPM_HOSTPROF_ENABLED
         if (armedSlot < 0)
             return;
         const std::uint64_t dt = now() - start;
@@ -194,32 +180,25 @@ class ScopedHostTimer
         if (prev >= 0)
             t.slots[prev].child += dt;
         t.current = prev;
-#endif
     }
 
     ScopedHostTimer(const ScopedHostTimer &) = delete;
     ScopedHostTimer &operator=(const ScopedHostTimer &) = delete;
 
   private:
-#if JRPM_HOSTPROF_ENABLED
     std::uint64_t start = 0;
     int armedSlot = -1;
     int prev = -1;
-#endif
 };
 
 } // namespace hostprof
 } // namespace jrpm
 
 /** Convenience: time the rest of the enclosing scope against a slot. */
-#if JRPM_HOSTPROF_ENABLED
 #define JRPM_HPROF_CAT2(a, b) a##b
 #define JRPM_HPROF_CAT(a, b) JRPM_HPROF_CAT2(a, b)
 #define JRPM_HPROF(slot)                                               \
     ::jrpm::hostprof::ScopedHostTimer JRPM_HPROF_CAT(                  \
         jrpmHprof_, __COUNTER__)(::jrpm::hostprof::HostSlot::slot)
-#else
-#define JRPM_HPROF(slot) do { } while (false)
-#endif
 
 #endif // JRPM_COMMON_HOSTPROF_HH

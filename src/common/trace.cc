@@ -125,6 +125,27 @@ Trace::recordViolation(const ViolationRecord &rec)
     ledger.push_back(r);
 }
 
+std::vector<ViolationRecord>
+Trace::violations() const
+{
+    std::lock_guard<std::recursive_mutex> lock(mu);
+    return ledger;
+}
+
+std::uint64_t
+Trace::violationsDropped() const
+{
+    std::lock_guard<std::recursive_mutex> lock(mu);
+    return ledgerDropped;
+}
+
+std::vector<std::pair<Cycle, std::string>>
+Trace::phases() const
+{
+    std::lock_guard<std::recursive_mutex> lock(mu);
+    return phaseMarks;
+}
+
 std::vector<TraceEvent>
 Trace::events(std::uint8_t track) const
 {

@@ -11,10 +11,6 @@
  * ring; when the ring is full the oldest events are overwritten, like
  * a real flight recorder.
  *
- * The whole subsystem compiles out when JRPM_TRACE_ENABLED is 0 (the
- * `JRPM_TRACE` / `JRPM_TRACE_ON` macros become no-ops and dead code),
- * so a production build pays nothing.
- *
  * At end of run the recorder exports:
  *  (a) Chrome/Perfetto `trace_event` JSON — one track per CPU showing
  *      serial/run/wait/violated/overhead spans (Fig. 10 as a zoomable
@@ -35,10 +31,6 @@
 #include <vector>
 
 #include "common/types.hh"
-
-#ifndef JRPM_TRACE_ENABLED
-#define JRPM_TRACE_ENABLED 1
-#endif
 
 namespace jrpm
 {
@@ -230,16 +222,16 @@ class Trace
         return rings.empty() ? 0 : rings.front().buf.size();
     }
 
-    const std::vector<ViolationRecord> &violations() const
-    {
-        return ledger;
-    }
-    std::uint64_t violationsDropped() const { return ledgerDropped; }
+    /** The violation ledger, oldest first.  Like every readout this
+     *  is a copy taken under the lock: concurrent pipelines keep
+     *  appending. */
+    std::vector<ViolationRecord> violations() const;
 
-    const std::vector<std::pair<Cycle, std::string>> &phases() const
-    {
-        return phaseMarks;
-    }
+    /** Ledger entries dropped at the kMaxLedger bound. */
+    std::uint64_t violationsDropped() const;
+
+    /** (offset, name) of every beginPhase(), in order. */
+    std::vector<std::pair<Cycle, std::string>> phases() const;
 
     /**
      * Reconstruct per-CPU execution-state spans from the StateChange
@@ -291,23 +283,11 @@ class Trace
 
 } // namespace jrpm
 
-/**
- * Instrumentation macros: compile to nothing when the subsystem is
- * configured out (the arguments are still type-checked, never
- * evaluated, so they count as used), and to a single enabled-flag
- * branch otherwise.
- */
-#if JRPM_TRACE_ENABLED
+/** Instrumentation macros: a single enabled-flag branch when the
+ *  recorder is off. */
 #define JRPM_TRACE(track, kind, ts, ...)                               \
     ::jrpm::Trace::global().record((track), (kind),                    \
                                    (ts)__VA_OPT__(, ) __VA_ARGS__)
 #define JRPM_TRACE_ON() (::jrpm::Trace::global().enabled())
-#else
-#define JRPM_TRACE(track, kind, ts, ...)                               \
-    (false ? ::jrpm::Trace::global().record(                           \
-                 (track), (kind), (ts)__VA_OPT__(, ) __VA_ARGS__)      \
-           : void())
-#define JRPM_TRACE_ON() (false)
-#endif
 
 #endif // JRPM_COMMON_TRACE_HH

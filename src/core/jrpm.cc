@@ -1,7 +1,6 @@
 #include "jrpm.hh"
 
 #include <algorithm>
-#include <cctype>
 #include <cinttypes>
 
 #include "common/hostprof.hh"
@@ -131,9 +130,12 @@ JrpmSystem::runOn(Machine &m, const std::vector<Word> &args)
                 const std::vector<std::uint8_t>>(
                 m.memorySnapshot());
     }
-    auto &reg = MetricsRegistry::global();
-    m.publishMetrics(reg);
-    vm.publishMetrics(reg);
+    {
+        JRPM_HPROF(MetricsPublish);
+        auto &reg = MetricsRegistry::global();
+        m.publishMetrics(reg);
+        vm.publishMetrics(reg);
+    }
     m.setRuntime(nullptr);
     return out;
 }
@@ -551,29 +553,6 @@ JrpmSystem::runPipeline()
         }
     }
 
-    // Observability exports.
-    auto &reg = MetricsRegistry::global();
-    {
-        JRPM_HPROF(MetricsPublish);
-        std::string p = "jrpm." + rep.name;
-        for (char &c : p)
-            if (!std::isalnum(static_cast<unsigned char>(c)) &&
-                c != '.')
-                c = '_';
-        reg.gauge(p + ".profiling_slowdown")
-            .set(rep.profilingSlowdown);
-        reg.gauge(p + ".actual_speedup").set(rep.actualSpeedup);
-        reg.gauge(p + ".total_speedup").set(rep.totalSpeedup);
-        reg.counter(p + ".selected_stls").inc(rep.selections.size());
-        if (rep.oracle.compared)
-            reg.gauge(p + ".oracle_match")
-                .set(rep.oracle.match() ? 1.0 : 0.0);
-        if (rep.tls.faultsInjected)
-            reg.counter(p + ".faults_injected")
-                .inc(rep.tls.faultsInjected);
-        if (rep.warmStart)
-            reg.counter(p + ".warm_starts").inc();
-    }
     return rep;
 }
 

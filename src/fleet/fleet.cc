@@ -9,9 +9,7 @@
 #include <deque>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <sstream>
-#include <unordered_set>
 
 #include <fcntl.h>
 #include <poll.h>
@@ -25,8 +23,6 @@
 #include "fleet/wire.hh"
 #include "forge/corpus.hh"
 #include "forge/shrink.hh"
-#include "forge/signature.hh"
-#include "forge/weights.hh"
 
 namespace jrpm
 {
@@ -484,42 +480,26 @@ runFleet(const FleetConfig &cfg)
         }
     };
 
-    // Guided scenarios by seed; empty for unguided campaigns (their
-    // specs always re-derive from the seed alone).
-    std::map<std::uint64_t, forge::ScenarioSpec> guidedSpecs;
-    auto specOf = [&](std::uint64_t s) -> forge::ScenarioSpec {
-        const auto it = guidedSpecs.find(s);
-        return it != guidedSpecs.end()
-                   ? it->second
-                   : forge::generate(s, camp.axes);
-    };
-
-    std::string finalBank;
-    if (!camp.guided) {
-        enqueueUncovered(camp.seed, camp.seed + camp.cases);
-        drain();
-    } else {
-        // Batch-synchronous guided loop, mirroring the in-process
-        // one: every scenario in a batch derives under the bank
-        // entering the batch, workers receive that bank via
-        // --weights, and the supervisor folds the batch's
-        // signatures (from the manifest, in seed order; poison
-        // cases never completed and are excluded) into one update
-        // at the barrier.  Each barrier checkpoints the manifest,
-        // so the journaled bank is rebroadcast at exactly the
-        // checkpoint boundaries.  A resumed campaign replays the
-        // same trajectory: completed batches re-fold from recorded
-        // signatures without running anything.
-        forge::WeightBank bank;
-        std::unordered_set<std::uint64_t> seen;
-        const std::uint32_t gb = std::max(camp.guidedBatch, 1u);
-        for (std::uint64_t lo = camp.seed;
-             lo < camp.seed + camp.cases; lo += gb) {
-            const std::uint64_t hi =
-                std::min(camp.seed + camp.cases, lo + gb);
-            const std::uint32_t batchIdx =
-                static_cast<std::uint32_t>((lo - camp.seed) / gb);
-
+    // The fleet as a campaign executor: runCampaign derives every
+    // batch's scenarios (guided ones under the bank the batch entered
+    // with) and folds the weights at the barrier; the fleet runs the
+    // batch's uncovered seeds in workers and reads the results back
+    // from the manifest — the single source of truth whether this run
+    // did the work or resumed someone else's.
+    forge::CampaignExecutor exec;
+    exec.runBatch = [&](const std::vector<forge::ScenarioSpec> &specs,
+                        std::size_t first, std::size_t count,
+                        const forge::WeightBank &bank,
+                        std::vector<forge::CaseResult> &results) {
+        if (camp.guided) {
+            // Workers receive the batch's bank via --weights.  The
+            // journaled bank lets a resumed campaign check that it is
+            // replaying the same trajectory: completed batches
+            // re-fold from recorded signatures without running
+            // anything.  The checkpoint at each barrier (below)
+            // rebroadcasts the bank at exactly those boundaries.
+            const std::uint32_t batchIdx = static_cast<std::uint32_t>(
+                first / std::max(camp.guidedBatch, 1u));
             const std::string ser = bank.serialize();
             const auto prev = manifest.weights().find(batchIdx);
             if (prev != manifest.weights().end() &&
@@ -529,148 +509,103 @@ runFleet(const FleetConfig &cfg)
                       batchIdx, prev->second.c_str(), ser.c_str());
             if (prev == manifest.weights().end())
                 manifest.recordWeights(batchIdx, ser);
-
-            for (std::uint64_t s = lo; s < hi; ++s)
-                guidedSpecs.emplace(
-                    s, forge::generateWeighted(s, camp.axes, bank));
-
             extraWorkerArgs = {"--weights=" + ser};
-            enqueueUncovered(lo, hi);
-            drain();
-            manifest.checkpoint();
-            sinceCheckpoint = 0;
-
-            std::vector<std::pair<std::uint32_t, std::uint64_t>> obs;
-            for (std::uint64_t s = lo; s < hi; ++s) {
-                const auto done = manifest.completed().find(s);
-                if (done == manifest.completed().end())
-                    continue;
-                obs.emplace_back(forge::kindsOf(guidedSpecs.at(s)),
-                                 done->second.sigHash);
-            }
-            forge::applyBatch(bank, seen, obs);
         }
-        finalBank = bank.serialize();
-    }
+        enqueueUncovered(camp.seed + first, camp.seed + first + count);
+        drain();
+        manifest.checkpoint();
+        sinceCheckpoint = 0;
 
-    // Quarantine forensics: ddmin-shrink every poison case without a
-    // repro yet, each probe in a sacrificial replay subprocess (the
-    // candidates crash by construction).
-    if (camp.shrinkFailures) {
-        const std::string candPath = forensics + "/shrink-cand.scenario";
-        for (const auto &[seed, p] : manifest.poisoned()) {
-            if (!p.reproPath.empty())
+        // Poison cases never completed: they fill their slot as
+        // failed cases and stay out of the weight fold.
+        std::vector<bool> ran(count);
+        for (std::size_t i = 0; i < count; ++i) {
+            const forge::ScenarioSpec &spec = specs[first + i];
+            const auto done = manifest.completed().find(spec.seed);
+            ran[i] = done != manifest.completed().end();
+            if (ran[i]) {
+                results[first + i] = done->second;
                 continue;
-            const forge::ScenarioSpec spec = specOf(seed);
-            inform("fleet: shrinking quarantined seed %s (%zu "
-                   "stmts)...",
-                   seedHex(seed).c_str(), spec.body.size());
-            forge::ShrinkOptions so;
-            so.maxProbes = camp.shrinkProbes;
-            const forge::ShrinkResult sr = forge::shrinkScenario(
-                spec,
-                [&](const forge::ScenarioSpec &cand) {
-                    const forge::CorpusEntry e =
-                        forge::makeCorpusEntry(cand,
-                                               /*with_exit=*/false);
-                    std::ofstream(candPath)
-                        << serializeCorpusEntry(e);
-                    const int st = runWithTimeout(
-                        cfg.workerCmd,
-                        {"--worker-replay=" + candPath},
-                        cfg.caseTimeoutMs);
-                    // Crash (signal), timeout (-1) and the explicit
-                    // failing status all count as "still failing";
-                    // clean exit 0 and load errors don't.
-                    if (st == -1 || WIFSIGNALED(st))
-                        return true;
-                    return WIFEXITED(st) && WEXITSTATUS(st) == 2;
-                },
-                so);
-            std::remove(candPath.c_str());
-            const std::string outDir = camp.corpusOut.empty()
-                                           ? forensics
-                                           : camp.corpusOut;
-            const std::string path = forge::writeCorpusEntry(
-                outDir, forge::makeCorpusEntry(sr.spec,
-                                               /*with_exit=*/false));
-            if (!path.empty())
-                manifest.recordRepro(seed, path);
-            inform("fleet: seed %s shrunk to %zu stmts: %s",
-                   seedHex(seed).c_str(), sr.spec.body.size(),
-                   path.c_str());
+            }
+            const auto poisoned = manifest.poisoned().find(spec.seed);
+            results[first + i] = forge::failedCase(
+                spec, poisoned != manifest.poisoned().end()
+                          ? strfmt("quarantined after %u attempts: %s",
+                                   poisoned->second.attempts,
+                                   poisoned->second.cause.c_str())
+                          : "never completed");
         }
-    }
-    manifest.checkpoint();
+        return ran;
+    };
 
-    // Assemble the campaign result from the manifest — the single
-    // source of truth whether this run did all the work or resumed
-    // someone else's.
-    forge::CampaignResult res;
-    res.cases = camp.cases;
-    res.results.reserve(camp.cases);
-    res.specs.reserve(camp.cases);
-    for (std::uint64_t s = camp.seed; s < camp.seed + camp.cases;
-         ++s) {
-        res.specs.push_back(specOf(s));
-        const forge::ScenarioSpec &spec = res.specs.back();
-        const auto done = manifest.completed().find(s);
-        if (done != manifest.completed().end()) {
-            res.results.push_back(done->second);
-        } else {
-            const auto poisoned = manifest.poisoned().find(s);
-            forge::CaseResult cr;
-            cr.seed = s;
-            cr.axes = spec.axes();
-            cr.stmts =
-                static_cast<std::uint32_t>(spec.body.size());
-            cr.ok = false;
-            cr.error = poisoned != manifest.poisoned().end()
-                           ? strfmt("quarantined after %u attempts: "
-                                    "%s",
-                                    poisoned->second.attempts,
-                                    poisoned->second.cause.c_str())
-                           : "never completed";
-            cr.sigHash = forge::signatureOf(cr).hash();
-            res.results.push_back(std::move(cr));
-        }
-    }
-    res.weightBank = finalBank;
-    {
-        std::unordered_set<std::uint64_t> sigs;
-        for (const forge::CaseResult &cr : res.results)
-            sigs.insert(cr.sigHash);
-        res.distinctSignatures =
-            static_cast<std::uint32_t>(sigs.size());
-    }
-    for (const forge::CaseResult &cr : res.results) {
-        forge::tallyCase(res, cr, faultsActive);
-        if (!cr.failing(faultsActive))
-            continue;
-        ++res.failures;
-        const forge::ScenarioSpec spec = specOf(cr.seed);
+    // Failing cases that completed shrink in process, as in any
+    // campaign; quarantined ones crash by construction, so their
+    // ddmin probes each replay in a sacrificial subprocess.
+    exec.failure = [&](const forge::ScenarioSpec &spec,
+                       const forge::CaseResult &cr) {
         const auto poisoned = manifest.poisoned().find(cr.seed);
-        if (poisoned != manifest.poisoned().end()) {
-            // Shrunk out of process above; never re-run in-process.
-            forge::CampaignFailure f;
-            f.result = cr;
-            f.original = spec;
-            f.shrunk = spec;
-            f.corpusPath = poisoned->second.reproPath;
-            res.failing.push_back(std::move(f));
-        } else {
-            res.failing.push_back(forge::processFailure(
-                camp, spec, cr, faultsActive));
+        if (poisoned == manifest.poisoned().end())
+            return forge::processFailure(camp, spec, cr, faultsActive);
+        forge::CampaignFailure f;
+        f.result = cr;
+        f.original = spec;
+        f.shrunk = spec;
+        f.corpusPath = poisoned->second.reproPath;
+        if (!f.corpusPath.empty()) {
+            // Shrunk by an earlier (killed) run: read the repro back.
+            forge::CorpusEntry e;
+            std::string why;
+            if (forge::readCorpusEntry(f.corpusPath, e, &why))
+                f.shrunk = e.spec;
+            else
+                warn("fleet: cannot read repro '%s': %s",
+                     f.corpusPath.c_str(), why.c_str());
+            return f;
         }
-    }
+        if (!camp.shrinkFailures)
+            return f;
+        inform("fleet: shrinking quarantined seed %s (%zu stmts)...",
+               seedHex(cr.seed).c_str(), spec.body.size());
+        const std::string candPath = forensics + "/shrink-cand.scenario";
+        forge::ShrinkOptions so;
+        so.maxProbes = camp.shrinkProbes;
+        const forge::ShrinkResult sr = forge::shrinkScenario(
+            spec,
+            [&](const forge::ScenarioSpec &cand) {
+                const forge::CorpusEntry e =
+                    forge::makeCorpusEntry(cand, /*with_exit=*/false);
+                std::ofstream(candPath) << serializeCorpusEntry(e);
+                const int st = runWithTimeout(
+                    cfg.workerCmd, {"--worker-replay=" + candPath},
+                    cfg.caseTimeoutMs);
+                // Crash (signal), timeout (-1) and the explicit
+                // failing status all count as "still failing"; clean
+                // exit 0 and load errors don't.
+                if (st == -1 || WIFSIGNALED(st))
+                    return true;
+                return WIFEXITED(st) && WEXITSTATUS(st) == 2;
+            },
+            so);
+        std::remove(candPath.c_str());
+        const std::string outDir =
+            camp.corpusOut.empty() ? forensics : camp.corpusOut;
+        f.shrunk = sr.spec;
+        f.shrinkProbes = sr.probes;
+        f.corpusPath = forge::writeCorpusEntry(
+            outDir, forge::makeCorpusEntry(sr.spec, /*with_exit=*/false));
+        if (!f.corpusPath.empty())
+            manifest.recordRepro(cr.seed, f.corpusPath);
+        inform("fleet: seed %s shrunk to %zu stmts: %s",
+               seedHex(cr.seed).c_str(), sr.spec.body.size(),
+               f.corpusPath.c_str());
+        return f;
+    };
+
+    forge::CampaignResult res = forge::runCampaign(camp, exec);
+    manifest.checkpoint();
     res.fleet = tallies;
 
     auto &reg = MetricsRegistry::global();
-    reg.counter("forge.cases").inc(res.cases);
-    reg.counter("forge.failures").inc(res.failures);
-    reg.counter("forge.divergences").inc(res.divergences);
-    reg.counter("forge.forced_runs").inc(res.forcedRuns);
-    reg.counter("forge.signatures").inc(res.distinctSignatures);
     reg.counter("fleet.worker_deaths").inc(tallies.workerDeaths);
     reg.counter("fleet.retries").inc(tallies.retries);
     reg.counter("fleet.quarantined").inc(tallies.quarantined);

@@ -76,10 +76,10 @@ struct FleetConfig
     std::vector<std::string> workerCmd;
 };
 
-/** Run (or resume) a fleet campaign.  The returned result has the
- *  same shape as runCampaign()'s, with `fleet` tallies filled in;
- *  quarantined cases appear as failed results and in `failing` with
- *  their shrunk repro paths. */
+/** Run (or resume) a fleet campaign: forge::runCampaign() with the
+ *  fleet as its executor, plus the `fleet` tallies.  Quarantined
+ *  cases appear as failed results and in `failing` with their
+ *  shrunk repros. */
 forge::CampaignResult runFleet(const FleetConfig &cfg);
 
 /** The manifest config-identity line for a campaign (exposed so

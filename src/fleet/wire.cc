@@ -18,15 +18,11 @@ caseResultJson(const forge::CaseResult &cr)
 {
     JsonWriter w;
     w.beginObject().field("seed", strfmt("%016" PRIx64, cr.seed));
-    w.field("axes", cr.axes).field("stmts", cr.stmts).field("ok", cr.ok);
-    w.field("error", cr.error);
-    w.field("pipelineDiverged", cr.pipelineDiverged);
-    w.field("forcedLoops", cr.forcedLoops);
-    w.field("forcedDiverged", cr.forcedDiverged);
-    w.field("watchdog", cr.watchdog).field("silent", cr.silent);
-    w.field("faultsInjected", cr.faultsInjected);
-    w.field("detail", cr.detail);
-    // The percentile rows, the per-cause arrays, then the rest.
+#define JRPM_OUTCOME_OUT(type, member) w.field(#member, cr.member);
+    JRPM_CASE_OUTCOME(JRPM_OUTCOME_OUT)
+#undef JRPM_OUTCOME_OUT
+    // The telemetry capsule: the percentile rows, the per-cause
+    // arrays, then the rest.
     bool pctRows = true;
 #define JRPM_WIRE_OUT(type, member, from, pct)                               \
     if (pct == pctRows)                                                      \
@@ -58,6 +54,8 @@ fieldOf(const JsonValue &v)
 {
     if constexpr (std::is_same_v<T, bool>)
         return v.boolean();
+    else if constexpr (std::is_same_v<T, std::string>)
+        return v.str;
     else
         return static_cast<T>(v.number());
 }
@@ -86,19 +84,8 @@ caseResultFromJson(const std::string &text, forge::CaseResult &out,
     cr.seed = std::strtoull(v["seed"].str.c_str(), &end, 16);
     if (end == v["seed"].str.c_str() || *end)
         return fail("unparseable seed");
-    cr.axes = fieldOf<std::uint32_t>(v["axes"]);
-    cr.stmts = fieldOf<std::uint32_t>(v["stmts"]);
-    cr.ok = v["ok"].boolean();
-    cr.error = v["error"].str;
-    cr.pipelineDiverged = v["pipelineDiverged"].boolean();
-    cr.forcedLoops = fieldOf<std::uint32_t>(v["forcedLoops"]);
-    cr.forcedDiverged = fieldOf<std::uint32_t>(v["forcedDiverged"]);
-    cr.watchdog = v["watchdog"].boolean();
-    cr.silent = v["silent"].boolean();
-    cr.faultsInjected = fieldOf<std::uint32_t>(v["faultsInjected"]);
-    cr.detail = v["detail"].str;
-#define JRPM_WIRE_IN(type, member, from, pct)                                \
-    cr.member = fieldOf<type>(v[#member]);
+#define JRPM_WIRE_IN(type, member, ...) cr.member = fieldOf<type>(v[#member]);
+    JRPM_CASE_OUTCOME(JRPM_WIRE_IN)
     JRPM_CASE_TELEMETRY(JRPM_WIRE_IN)
 #undef JRPM_WIRE_IN
 

@@ -134,6 +134,18 @@ runCase(const ScenarioSpec &spec, const JrpmConfig &base,
     return cr;
 }
 
+CaseResult
+failedCase(const ScenarioSpec &spec, const std::string &why)
+{
+    CaseResult cr;
+    cr.seed = spec.seed;
+    cr.axes = spec.axes();
+    cr.stmts = static_cast<std::uint32_t>(spec.body.size());
+    cr.error = why;
+    cr.sigHash = signatureOf(cr).hash();
+    return cr;
+}
+
 bool
 CaseResult::failing(bool faults_active) const
 {
@@ -224,6 +236,11 @@ DifferentialResult::summary() const
     return s;
 }
 
+namespace
+{
+
+/** Fold one case into the campaign counters (everything except
+ *  `failures`/`failing`, which shrink separately). */
 void
 tallyCase(CampaignResult &res, const CaseResult &cr,
           bool faults_active)
@@ -241,6 +258,8 @@ tallyCase(CampaignResult &res, const CaseResult &cr,
         ++res.watchdogs;
     res.forcedRuns += cr.forcedLoops;
 }
+
+} // namespace
 
 CampaignFailure
 processFailure(const CampaignConfig &cfg, const ScenarioSpec &spec,
@@ -270,62 +289,55 @@ processFailure(const CampaignConfig &cfg, const ScenarioSpec &spec,
     return f;
 }
 
-namespace
-{
-
-/**
- * Fan `count` scenarios (slots [first, first+count)) out over the
- * batch driver, filling the matching result slots.  Each job's
- * custom runner fills its own slot; results (and therefore the
- * whole campaign verdict) are independent of the worker count.
- * Shared by the flat campaign and the guided batch loop.
- */
-void
-runBatch(const CampaignConfig &cfg,
-         const std::vector<ScenarioSpec> &specs, std::size_t first,
-         std::size_t count, std::vector<CaseResult> &out)
-{
-    std::vector<DriverJob> jobs(count);
-    for (std::size_t i = 0; i < count; ++i) {
-        const std::size_t slot = first + i;
-        jobs[i].workload.name = strfmt(
-            "forge-seed-%016llx",
-            static_cast<unsigned long long>(specs[slot].seed));
-        jobs[i].custom = [&cfg, &specs, &out, slot]() {
-            JrpmReport rep;
-            out[slot] =
-                runCase(specs[slot], cfg.base, cfg.forcedSweep, &rep);
-            return rep;
-        };
-    }
-    DriverConfig dc;
-    dc.jobs = cfg.jobs;
-    BatchDriver driver(dc);
-    const std::vector<DriverResult> dres =
-        driver.run(std::move(jobs));
-
-    for (std::size_t i = 0; i < count; ++i) {
-        const std::size_t slot = first + i;
-        CaseResult &cr = out[slot];
-        cr.wallMs = dres[i].wallMs;
-        if (!dres[i].ok) {
-            // The pipeline (or sweep) threw: record it as a failed
-            // case even though the slot was never filled.
-            cr.seed = specs[slot].seed;
-            cr.axes = specs[slot].axes();
-            cr.stmts =
-                static_cast<std::uint32_t>(specs[slot].body.size());
-            cr.ok = false;
-            cr.error = dres[i].error;
-            cr.sigHash = signatureOf(cr).hash();
-        }
-    }
-}
-
-} // namespace
-
 CampaignResult
 runCampaign(const CampaignConfig &cfg)
+{
+    const bool faultsActive = !cfg.base.faultPlan.empty();
+    CampaignExecutor exec;
+    // Fan the batch out over the batch driver.  Each job's custom
+    // runner fills its own slot; results (and therefore the whole
+    // campaign verdict) are independent of the worker count.  Every
+    // case runs.
+    exec.runBatch = [&cfg](const std::vector<ScenarioSpec> &specs,
+                           std::size_t first, std::size_t count,
+                           const WeightBank &,
+                           std::vector<CaseResult> &out) {
+        std::vector<DriverJob> jobs(count);
+        for (std::size_t i = 0; i < count; ++i) {
+            const std::size_t slot = first + i;
+            jobs[i].workload.name = strfmt(
+                "forge-seed-%016llx",
+                static_cast<unsigned long long>(specs[slot].seed));
+            jobs[i].custom = [&cfg, &specs, &out, slot]() {
+                JrpmReport rep;
+                out[slot] = runCase(specs[slot], cfg.base,
+                                    cfg.forcedSweep, &rep);
+                return rep;
+            };
+        }
+        DriverConfig dc;
+        dc.jobs = cfg.jobs;
+        const std::vector<DriverResult> dres =
+            BatchDriver(dc).run(std::move(jobs));
+        for (std::size_t i = 0; i < count; ++i) {
+            // The pipeline (or sweep) threw: the slot was never
+            // filled.
+            if (!dres[i].ok)
+                out[first + i] =
+                    failedCase(specs[first + i], dres[i].error);
+            out[first + i].wallMs = dres[i].wallMs;
+        }
+        return std::vector<bool>(count, true);
+    };
+    exec.failure = [&cfg, faultsActive](const ScenarioSpec &spec,
+                                        const CaseResult &cr) {
+        return processFailure(cfg, spec, cr, faultsActive);
+    };
+    return runCampaign(cfg, exec);
+}
+
+CampaignResult
+runCampaign(const CampaignConfig &cfg, const CampaignExecutor &exec)
 {
     const bool faultsActive = !cfg.base.faultPlan.empty();
 
@@ -334,18 +346,18 @@ runCampaign(const CampaignConfig &cfg)
     res.results.resize(cfg.cases);
     res.specs.reserve(cfg.cases);
 
+    WeightBank bank;
     if (!cfg.guided) {
         for (std::uint32_t i = 0; i < cfg.cases; ++i)
             res.specs.push_back(generate(cfg.seed + i, cfg.axes));
-        runBatch(cfg, res.specs, 0, cfg.cases, res.results);
+        exec.runBatch(res.specs, 0, cfg.cases, bank, res.results);
     } else {
         // Coverage-guided: batch-synchronous loop.  Every scenario
         // in a batch derives under the bank state entering the
         // batch; the bank updates exactly once per batch, in seed
-        // order, from signature novelty.  The barrier makes the
-        // weight trajectory — and hence every scenario — identical
-        // for any `jobs` value.
-        WeightBank bank;
+        // order, from the signature novelty of the cases that ran.
+        // The barrier makes the weight trajectory — and hence every
+        // scenario — identical for any `jobs` value and executor.
         std::unordered_set<std::uint64_t> seen;
         const std::uint32_t batch = std::max(cfg.guidedBatch, 1u);
         for (std::uint32_t done = 0; done < cfg.cases;) {
@@ -354,12 +366,14 @@ runCampaign(const CampaignConfig &cfg)
             for (std::uint32_t i = 0; i < n; ++i)
                 res.specs.push_back(generateWeighted(
                     cfg.seed + done + i, cfg.axes, bank));
-            runBatch(cfg, res.specs, done, n, res.results);
+            const std::vector<bool> ran =
+                exec.runBatch(res.specs, done, n, bank, res.results);
             std::vector<std::pair<std::uint32_t, std::uint64_t>> obs;
             obs.reserve(n);
             for (std::uint32_t i = 0; i < n; ++i)
-                obs.emplace_back(kindsOf(res.specs[done + i]),
-                                 res.results[done + i].sigHash);
+                if (ran[i])
+                    obs.emplace_back(kindsOf(res.specs[done + i]),
+                                     res.results[done + i].sigHash);
             applyBatch(bank, seen, obs);
             done += n;
         }
@@ -372,14 +386,13 @@ runCampaign(const CampaignConfig &cfg)
     res.distinctSignatures = static_cast<std::uint32_t>(sigs.size());
 
     for (std::uint32_t i = 0; i < cfg.cases; ++i) {
-        CaseResult &cr = res.results[i];
+        const CaseResult &cr = res.results[i];
         tallyCase(res, cr, faultsActive);
 
         if (!cr.failing(faultsActive))
             continue;
         ++res.failures;
-        res.failing.push_back(
-            processFailure(cfg, res.specs[i], cr, faultsActive));
+        res.failing.push_back(exec.failure(res.specs[i], cr));
     }
 
     auto &reg = MetricsRegistry::global();
@@ -577,8 +590,8 @@ campaignAnalyticsJson(const CampaignConfig &cfg,
         w.field("tornRecords", ft.tornRecords).endObject();
     }
 
-    // Host-cycle attribution of the campaign process (empty array
-    // when the profiler is off or compiled out).
+    // Host-cycle attribution of the campaign process (all zero
+    // when the profiler is off).
     if (hostprof::enabled())
         hostprof::flushThread();
     w.key("hostprof").raw(hostprof::reportJson());

@@ -18,7 +18,9 @@
  * directory.
  *
  * Results are deterministic in the worker count: scenarios derive
- * from seeds alone, and the driver reports in input order.
+ * from seeds alone, and the driver reports in input order.  The same
+ * campaign runs on crash-isolated worker processes when the fleet
+ * (fleet/fleet.hh) is its CampaignExecutor.
  */
 
 #ifndef JRPM_FORGE_CAMPAIGN_HH
@@ -26,6 +28,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -33,6 +36,7 @@
 #include "cpu/stats.hh"
 #include "forge/forge.hh"
 #include "forge/shrink.hh"
+#include "forge/weights.hh"
 
 namespace jrpm
 {
@@ -105,23 +109,36 @@ struct CampaignConfig
     /* crystal entry demoted */                                              \
     X(bool, demoted, rep.demoted, false)
 
+/**
+ * The outcome fields of a CaseResult: how the case ended, as runCase
+ * classifies it.  One row per field, X(type, member), in wire order.
+ * The struct, the fleet wire record and the fleet round-trip test
+ * are generated from it; `seed` and `sigHash`, which travel as hex
+ * strings, are written out by hand around it.
+ */
+#define JRPM_CASE_OUTCOME(X)                                                 \
+    X(std::uint32_t, axes)                                                   \
+    X(std::uint32_t, stmts)                                                  \
+    /* pipeline ran to completion */                                         \
+    X(bool, ok)                                                              \
+    /* exception text when !ok */                                            \
+    X(std::string, error)                                                    \
+    X(bool, pipelineDiverged)                                                \
+    X(std::uint32_t, forcedLoops)                                            \
+    X(std::uint32_t, forcedDiverged)                                         \
+    X(bool, watchdog)                                                        \
+    /* diverged with oracle clean */                                         \
+    X(bool, silent)                                                          \
+    X(std::uint32_t, faultsInjected)                                         \
+    /* first divergence summary */                                           \
+    X(std::string, detail)
+
 /** What one scenario did. */
 struct CaseResult
 {
     std::uint64_t seed = 0;
-    std::uint32_t axes = 0;
-    std::uint32_t stmts = 0;
-    bool ok = false;             ///< pipeline ran to completion
-    std::string error;           ///< exception text when !ok
-    bool pipelineDiverged = false;
-    std::uint32_t forcedLoops = 0;
-    std::uint32_t forcedDiverged = 0;
-    bool watchdog = false;
-    bool silent = false;         ///< diverged with oracle clean
-    std::uint32_t faultsInjected = 0;
-    std::string detail;          ///< first divergence summary
-
 #define JRPM_CASE_DECLARE(type, member, ...) type member{};
+    JRPM_CASE_OUTCOME(JRPM_CASE_DECLARE)
     JRPM_CASE_TELEMETRY(JRPM_CASE_DECLARE)
 #undef JRPM_CASE_DECLARE
     std::array<std::uint64_t, kNumSquashCauses> squashCauses{};
@@ -198,6 +215,11 @@ struct CampaignResult
 CaseResult runCase(const ScenarioSpec &spec, const JrpmConfig &base,
                    bool forced_sweep, JrpmReport *rep_out = nullptr);
 
+/** The result of a case that produced none (its pipeline threw, or
+ *  it killed every worker that ran it): the scenario's identity,
+ *  `ok` false, @p why as the error, and the signature of that. */
+CaseResult failedCase(const ScenarioSpec &spec, const std::string &why);
+
 /** One scenario whose fast and exact runs differed. */
 struct DifferentialMismatch
 {
@@ -242,12 +264,6 @@ struct DifferentialResult
  */
 DifferentialResult runFastPathDifferential(const CampaignConfig &cfg);
 
-/** Fold one case into the campaign counters (everything except
- *  `failures`/`failing`, which shrink separately).  Shared between
- *  the in-process campaign and the fleet supervisor. */
-void tallyCase(CampaignResult &res, const CaseResult &cr,
-               bool faults_active);
-
 /**
  * Turn one failing case into repro artifacts: ddmin-shrink it (when
  * @p cfg.shrinkFailures and the case completed) and persist the
@@ -261,8 +277,38 @@ CampaignFailure processFailure(const CampaignConfig &cfg,
                                const CaseResult &cr,
                                bool faults_active);
 
-/** Run a full campaign (see file header). */
+/**
+ * Where a campaign's cases run.  runCampaign() owns what the
+ * campaign means — scenario derivation (guided batches and their
+ * weight fold included), the signature count, the tally, the failing
+ * list and the forge.* metrics — and hands each batch to `runBatch`
+ * and each failing case to `failure`.
+ */
+struct CampaignExecutor
+{
+    /** Run specs[first, first + count), derived under @p bank when
+     *  the campaign is guided, and fill the matching slots of
+     *  @p results — every slot, with failedCase() where no result
+     *  exists.  Returns one flag per slot: did the case run?  Cases
+     *  that did not run stay out of the guided weight fold. */
+    std::function<std::vector<bool>(
+        const std::vector<ScenarioSpec> &specs, std::size_t first,
+        std::size_t count, const WeightBank &bank,
+        std::vector<CaseResult> &results)>
+        runBatch;
+    /** Repro artifacts of one failing case. */
+    std::function<CampaignFailure(const ScenarioSpec &spec,
+                                  const CaseResult &cr)>
+        failure;
+};
+
+/** Run a full campaign (see file header) on the batch driver's
+ *  worker pool, with processFailure() for failing cases. */
 CampaignResult runCampaign(const CampaignConfig &cfg);
+
+/** Run a full campaign whose cases run on @p exec. */
+CampaignResult runCampaign(const CampaignConfig &cfg,
+                           const CampaignExecutor &exec);
 
 /**
  * Campaign analytics: one queryable JSON document aggregating the

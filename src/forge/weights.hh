@@ -120,9 +120,9 @@ std::uint32_t kindsOf(const ScenarioSpec &spec);
  * into @p bank: walk @p obs in order, inserting each hash into
  * @p seen; kinds of cases whose hash was new accumulate as novel,
  * all appearing kinds as seen; then apply exactly one update().
- * This is THE batch-boundary step — shared verbatim by the
- * in-process guided campaign and the fleet supervisor so both
- * follow the same deterministic weight trajectory.
+ * This is THE batch-boundary step of runCampaign()'s guided loop,
+ * whichever executor runs the batches (thread pool or fleet), so
+ * both follow the same deterministic weight trajectory.
  */
 void applyBatch(
     WeightBank &bank, std::unordered_set<std::uint64_t> &seen,

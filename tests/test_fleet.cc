@@ -29,6 +29,7 @@
 #include "fleet/manifest.hh"
 #include "fleet/wire.hh"
 #include "forge/campaign.hh"
+#include "forge/corpus.hh"
 #include "forge/signature.hh"
 #include "forge/weights.hh"
 
@@ -113,21 +114,11 @@ void
 expectSameCase(const forge::CaseResult &a, const forge::CaseResult &b)
 {
     EXPECT_EQ(a.seed, b.seed);
-    EXPECT_EQ(a.axes, b.axes);
-    EXPECT_EQ(a.stmts, b.stmts);
-    EXPECT_EQ(a.ok, b.ok);
-    EXPECT_EQ(a.error, b.error);
-    EXPECT_EQ(a.pipelineDiverged, b.pipelineDiverged);
-    EXPECT_EQ(a.forcedLoops, b.forcedLoops);
-    EXPECT_EQ(a.forcedDiverged, b.forcedDiverged);
-    EXPECT_EQ(a.watchdog, b.watchdog);
-    EXPECT_EQ(a.silent, b.silent);
-    EXPECT_EQ(a.faultsInjected, b.faultsInjected);
-    EXPECT_EQ(a.detail, b.detail);
     // Doubles travel at 17 significant digits, so they round-trip
     // exactly too.
 #define JRPM_EXPECT_SAME(type, member, ...)                                  \
     EXPECT_EQ(a.member, b.member) << #member;
+    JRPM_CASE_OUTCOME(JRPM_EXPECT_SAME)
     JRPM_CASE_TELEMETRY(JRPM_EXPECT_SAME)
 #undef JRPM_EXPECT_SAME
     EXPECT_EQ(a.squashCauses, b.squashCauses);
@@ -704,8 +695,20 @@ TEST(FleetEndToEnd, AbortingCaseIsQuarantinedWithShrunkRepro)
     EXPECT_NE(p.cause.find("signal 6"), std::string::npos)
         << p.cause;
     ASSERT_FALSE(p.reproPath.empty()) << "no shrunk repro recorded";
-    EXPECT_FALSE(slurp(p.reproPath).empty())
-        << "repro file missing: " << p.reproPath;
+    forge::CorpusEntry repro;
+    ASSERT_TRUE(forge::readCorpusEntry(p.reproPath, repro, &err))
+        << p.reproPath << ": " << err;
+
+    // The summary names the repro with its (shrunk) size.
+    const std::string log = slurp(dir + "/log");
+    const std::string tail = "stmts): " + p.reproPath;
+    const std::size_t at = log.find(tail);
+    ASSERT_NE(at, std::string::npos) << log;
+    const std::size_t open = log.rfind("repro (", at);
+    ASSERT_NE(open, std::string::npos) << log;
+    EXPECT_EQ(std::stoul(log.substr(open + 7, at - open - 7)),
+              repro.spec.body.size())
+        << log;
 }
 
 /** Guided determinism across the process boundary: a guided fleet

@@ -3,19 +3,23 @@
  * Tests of the observability stack: flight-recorder ring mechanics,
  * span reconstruction with violated-window recoloring, Chrome JSON
  * export (re-parsed by jsonParse()), the violation ledger
- * against a hand-assembled STL that is guaranteed to squash, the
- * metrics registry, and an end-to-end check that per-CPU span
- * accounting reproduces the Fig. 10 ExecStats buckets.
+ * against a hand-assembled STL that is guaranteed to squash (and
+ * read by the oracle while it grows), the metrics registry, and an
+ * end-to-end check that per-CPU span accounting reproduces the
+ * Fig. 10 ExecStats buckets.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -25,6 +29,7 @@
 #include "common/obs.hh"
 #include "common/trace.hh"
 #include "core/jrpm.hh"
+#include "core/oracle.hh"
 #include "core/report_json.hh"
 #include "cpu/stats.hh"
 #include "tls/machine.hh"
@@ -48,8 +53,7 @@ testConfig()
 }
 
 // ---------------------------------------------------------------------
-// Ring-buffer mechanics (direct record() calls work in both trace
-// build configurations; only the macros compile out).
+// Ring-buffer mechanics.
 // ---------------------------------------------------------------------
 
 class TraceTest : public ::testing::Test
@@ -139,16 +143,11 @@ TEST_F(TraceTest, PhasesOffsetLaterRunsPastEarlierOnes)
     EXPECT_EQ(tr.phases()[1].first, 11u);
 }
 
-TEST_F(TraceTest, MacroCompilesOutWhenConfiguredOff)
+TEST_F(TraceTest, MacroRecordsWhileEnabled)
 {
     JRPM_TRACE(0, TraceEvt::VmTrap, 5, 1);
-#if JRPM_TRACE_ENABLED
     EXPECT_TRUE(JRPM_TRACE_ON());
     EXPECT_EQ(Trace::global().totalRecorded(), 1u);
-#else
-    EXPECT_FALSE(JRPM_TRACE_ON());
-    EXPECT_EQ(Trace::global().totalRecorded(), 0u);
-#endif
 }
 
 // ---------------------------------------------------------------------
@@ -383,14 +382,6 @@ TEST(TraceMachine, ViolationLedgerAttributesSquashes)
 
     tr.setEnabled(false);
 
-#if !JRPM_TRACE_ENABLED
-    // A trace-disabled build must emit no events at all even with the
-    // recorder switched on.
-    EXPECT_EQ(tr.totalRecorded(), 0u);
-    EXPECT_TRUE(tr.violations().empty());
-    tr.clear();
-    GTEST_SKIP() << "trace compiled out";
-#else
     EXPECT_GT(m.stats().violations, 0u);
     EXPECT_EQ(tr.dropped(), 0u);
 
@@ -427,7 +418,62 @@ TEST(TraceMachine, ViolationLedgerAttributesSquashes)
     EXPECT_EQ(violatedEvts, m.stats().violations);
     EXPECT_EQ(stlEntries, m.stats().stlEntries);
     tr.clear();
-#endif
+}
+
+TEST(TraceLedger, OracleAttributesWhileAnotherPipelineRecords)
+{
+    // Oracle::attribute() walks the violation ledger while other
+    // batch-driver pipelines append to it, so every ledger readout
+    // must be a copy taken under the recorder's lock.  A reference
+    // into the live ledger races with the appends: ThreadSanitizer
+    // reports it, and a reallocating append can crash the reader.
+    Trace &tr = Trace::global();
+    tr.configure(4, 64);
+    tr.setEnabled(true);
+
+    OracleConfig oc;
+    oc.mode = OracleMode::Strict;
+    constexpr Addr kDiff = 0x40;
+    std::vector<std::uint8_t> image(256, 0);
+    RunDigest golden;
+    golden.memImage =
+        std::make_shared<const std::vector<std::uint8_t>>(image);
+    image[kDiff] = 1;
+    RunDigest actual;
+    actual.memImage =
+        std::make_shared<const std::vector<std::uint8_t>>(image);
+
+    constexpr int kRecords = 4000; // inside the ledger bound
+    std::atomic<bool> done{false};
+    std::thread writer([&] {
+        for (int i = 0; i < kRecords; ++i) {
+            if (i % 500 == 0)
+                tr.beginPhase("phase");
+            ViolationRecord v;
+            v.addr = 0x1000 + 32 * static_cast<Addr>(i); // not kDiff's
+            v.loopId = 1;
+            tr.recordViolation(v);
+        }
+        done = true;
+    });
+    do {
+        const OracleReport rep =
+            Oracle::compare(oc, golden, actual, {});
+        EXPECT_FALSE(rep.memMatch);
+        EXPECT_EQ(rep.suspectLoop, -1);
+        EXPECT_LE(tr.phases().size(), kRecords / 500u);
+    } while (!done);
+    writer.join();
+
+    ViolationRecord hit;
+    hit.addr = kDiff;
+    hit.loopId = 9;
+    tr.recordViolation(hit);
+    EXPECT_EQ(tr.violations().size(), kRecords + 1u);
+    EXPECT_EQ(tr.violationsDropped(), 0u);
+    EXPECT_EQ(Oracle::compare(oc, golden, actual, {}).suspectLoop, 9);
+    tr.setEnabled(false);
+    tr.clear();
 }
 
 // ---------------------------------------------------------------------
@@ -436,9 +482,6 @@ TEST(TraceMachine, ViolationLedgerAttributesSquashes)
 
 TEST(TraceMachine, SpanAccountingMatchesExecStats)
 {
-#if !JRPM_TRACE_ENABLED
-    GTEST_SKIP() << "trace compiled out";
-#else
     Workload w = wl::workloadByName("IDEA");
     w.mainArgs = {300};
     JrpmSystem sys(w);
@@ -490,7 +533,6 @@ TEST(TraceMachine, SpanAccountingMatchesExecStats)
     const double sum = serial + runUsed + waitUsed + overhead +
                        runViolated + waitViolated;
     EXPECT_NEAR(sum, st.total(), tol);
-#endif
 }
 
 // ---------------------------------------------------------------------
@@ -625,6 +667,22 @@ TEST(Metrics, TlsRunPublishesPinnedCounters)
     EXPECT_EQ(got, kPinnedTlsMetrics);
 }
 
+TEST(Metrics, PipelineNamesAreBoundedAcrossWorkloadNames)
+{
+    // A long-running server runs one pipeline per request (forge
+    // scenarios are named after their seeds): the set of published
+    // names must not grow with the workload name.
+    Workload w = wl::workloadByName("IDEA");
+    w.mainArgs = w.profileArgs;
+    MetricsRegistry &reg = MetricsRegistry::global();
+    w.name = "first";
+    JrpmSystem(w).run();
+    const std::size_t names = reg.size();
+    w.name = "second";
+    JrpmSystem(w).run();
+    EXPECT_EQ(reg.size(), names);
+}
+
 // ---------------------------------------------------------------------
 // ExecStats violation-address diagnostics.
 // ---------------------------------------------------------------------
@@ -656,8 +714,6 @@ TEST(ExecStatsViolations, AddressTableIsBoundedAndRanked)
 // ---------------------------------------------------------------------
 // Host-side self-profiler.
 // ---------------------------------------------------------------------
-
-#if JRPM_HOSTPROF_ENABLED
 
 /** Burn host time until the TSC has advanced by `ticks`. */
 void
@@ -760,8 +816,6 @@ TEST(HostProf, PipelineAttributionCoversRunWallTime)
     EXPECT_NEAR(sumSelf, pipeline, 0.01 * pipeline + 1e-9);
     hostprof::reset();
 }
-
-#endif // JRPM_HOSTPROF_ENABLED
 
 // ---------------------------------------------------------------------
 // Throttled-warning suppression counts through the metrics registry.
