@@ -3,8 +3,9 @@
  * Load generator for Jrpm-as-a-service: hundreds of concurrent
  * loopback clients driving an in-process server with open-loop
  * arrivals, measuring end-to-end latency percentiles (p50/p99/p999)
- * and throughput into BENCH_service.json for the
- * scripts/check_service.py CI gate.
+ * and throughput.  The run is its own gate: it exits 1 unless every
+ * invariant named in its summary line holds (kMinResults, kMaxP99Ms
+ * and the zero-error counts).
  *
  * Open loop: each client fires submissions on a fixed schedule
  * whether or not earlier ones have completed, so queueing delay and
@@ -30,7 +31,6 @@
  *   --repo=<dir>      enable the warm cache (changes report bytes
  *                     on repeat seeds; byte checks then only cover
  *                     cold first-hits, so default is off)
- *   --out=<path>      result JSON (default BENCH_service.json)
  */
 
 #include <algorithm>
@@ -62,6 +62,13 @@ namespace
 
 using Clock = std::chrono::steady_clock;
 
+/** A load run must complete at least this many requests: a stalled
+ *  scheduler or a blocked event loop completes far fewer. */
+constexpr std::uint64_t kMinResults = 200;
+/** p99 latency ceiling.  Generous, because an open loop queues by
+ *  design and the admission cap bounds the queue. */
+constexpr double kMaxP99Ms = 10'000;
+
 double
 msBetween(Clock::time_point a, Clock::time_point b)
 {
@@ -79,7 +86,6 @@ struct LoadOptions
     std::uint32_t cap = 64;
     std::uint32_t seedPool = 12;
     std::string repoDir;
-    std::string out = "BENCH_service.json";
 };
 
 /** Per-client tallies, merged after the run. */
@@ -235,16 +241,6 @@ runServeOnly(const LoadOptions &opt)
     return 0;
 }
 
-void
-pctJson(JsonWriter &w, const PercentileSummary &s)
-{
-    w.beginObject().field("n", s.n).key("min").fixed(s.min, 3);
-    w.key("p50").fixed(s.p50, 3).key("p90").fixed(s.p90, 3);
-    w.key("p99").fixed(s.p99, 3).key("p999").fixed(s.p999, 3);
-    w.key("max").fixed(s.max, 3).key("mean").fixed(s.mean, 3);
-    w.endObject();
-}
-
 int
 runLoad(const LoadOptions &opt)
 {
@@ -335,42 +331,46 @@ runLoad(const LoadOptions &opt)
     const PercentileSummary q = summarizePercentiles(sum.queueMs);
     const double throughput =
         1000.0 * static_cast<double>(sum.results) / wallMs;
-
-    JsonWriter w;
-    w.beginObject(JsonWriter::Layout::Lines).field("bench", "service");
-    w.key("config").beginObject().field("clients", opt.clients);
-    w.field("durationMs", opt.durationMs);
-    w.field("intervalMs", opt.intervalMs).field("workers", opt.workers);
-    w.field("cap", opt.cap).field("seeds", opt.seedPool);
-    w.field("warmCache", !opt.repoDir.empty()).endObject();
-    w.key("wallMs").fixed(wallMs, 1);
-    w.field("sent", sum.sent).field("results", sum.results);
-    w.field("busyRejects", sum.busy);
-    w.field("protocolErrors", sum.protocolErrors);
-    w.field("byteMismatches", sum.byteMismatches);
-    w.field("fatalClients", fatalClients);
-    w.key("throughputPerSec").fixed(throughput, 2);
-    pctJson(w.key("latencyMs"), lat);
-    pctJson(w.key("queueMs"), q);
-    w.key("scheduler").beginObject().field("executed", ss.executed);
-    w.field("steals", ss.steals).field("taskFaults", ss.taskFaults);
-    w.endObject().key("server").beginObject();
-    w.field("accepted", sc.connectionsAccepted);
-    w.field("pipelineErrors", sc.pipelineErrors).endObject();
-    if (!writeTextFile(opt.out, w.endObject().take() + '\n', "bench"))
-        fatal("cannot write %s", opt.out.c_str());
-
     inform("bench_service: %" PRIu64 " results (%.1f/s), "
-           "p50 %.1fms p99 %.1fms p999 %.1fms, %" PRIu64
-           " busy, %" PRIu64 " protocol errors, %" PRIu64
-           " byte mismatches -> %s",
-           sum.results, throughput, lat.p50, lat.p99, lat.p999,
-           sum.busy, sum.protocolErrors, sum.byteMismatches,
-           opt.out.c_str());
-    return (sum.protocolErrors || sum.byteMismatches ||
-            fatalClients)
-               ? 1
-               : 0;
+           "p50 %.1fms p99 %.1fms p999 %.1fms, queue p50 %.1fms, "
+           "%" PRIu64 " busy, %" PRIu64 " steals",
+           sum.results, throughput, lat.p50, lat.p99, lat.p999, q.p50,
+           sum.busy, ss.steals);
+
+    struct Check
+    {
+        std::string what;
+        bool ok;
+    };
+    const Check checks[] = {
+        {strfmt("%" PRIu64 " protocol errors", sum.protocolErrors),
+         sum.protocolErrors == 0},
+        {strfmt("%" PRIu64 " byte mismatches", sum.byteMismatches),
+         sum.byteMismatches == 0},
+        {strfmt("%u dead clients", fatalClients), fatalClients == 0},
+        {strfmt("%" PRIu64 " pipeline errors", sc.pipelineErrors),
+         sc.pipelineErrors == 0},
+        {strfmt("%" PRIu64 " task faults", ss.taskFaults),
+         ss.taskFaults == 0},
+        {strfmt("%" PRIu64 " of %" PRIu64 " sent answered",
+                sum.results + sum.busy, sum.sent),
+         sum.results + sum.busy == sum.sent},
+        {strfmt("%" PRIu64 " results >= %" PRIu64, sum.results,
+                kMinResults),
+         sum.results >= kMinResults},
+        {strfmt("p99 %.1fms <= %.0fms", lat.p99, kMaxP99Ms),
+         lat.p99 <= kMaxP99Ms},
+    };
+    std::string summary;
+    bool pass = true;
+    for (const Check &c : checks) {
+        summary += strfmt("%s%s %s", summary.empty() ? "" : ", ",
+                          c.what.c_str(), c.ok ? "ok" : "FAILED");
+        pass = pass && c.ok;
+    }
+    inform("bench_service: %s: %s", pass ? "PASS" : "FAIL",
+           summary.c_str());
+    return pass ? 0 : 1;
 }
 
 LoadOptions
@@ -405,8 +405,6 @@ parseArgs(int argc, char **argv)
             o.seedPool = std::max(1, std::atoi(val("--seeds=")));
         } else if (a.rfind("--repo=", 0) == 0) {
             o.repoDir = val("--repo=");
-        } else if (a.rfind("--out=", 0) == 0) {
-            o.out = val("--out=");
         } else {
             fatal("bench_service: unknown flag '%s'", a.c_str());
         }

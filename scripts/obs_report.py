@@ -10,9 +10,7 @@ Inputs (all optional, any combination):
    profiler snapshot;
  * a metrics registry dump written by ``--metrics-out=foo.json`` —
    its ``hostprof.*`` gauges render the same attribution flamegraph
-   for a single run, and its ``tls.*`` counters a telemetry table;
- * the committed ``BENCH_simspeed.json`` trajectory — rendered as a
-   throughput-over-time timeline per benchmark.
+   for a single run, and its ``tls.*`` counters a telemetry table.
 
 The output is fully self-contained (inline CSS + SVG, no external
 assets, no JavaScript dependencies), so it can be archived as a CI
@@ -20,8 +18,7 @@ artifact and opened anywhere.
 
 Usage:
     scripts/obs_report.py --analytics analytics.json \
-        --metrics metrics.json --trajectory BENCH_simspeed.json \
-        --out report.html
+        --metrics metrics.json --out report.html
 """
 
 import argparse
@@ -290,73 +287,6 @@ def telemetry_section(metrics):
     return "\n".join(out)
 
 
-# ------------------------------------------------------------ timeline
-
-def timeline_section(trajectory):
-    """Throughput over trajectory entries, one polyline per bench."""
-    if not trajectory:
-        return ""
-    benches = {}
-    for i, entry in enumerate(trajectory):
-        for name, rate in entry.get("rates", {}).items():
-            benches.setdefault(name, []).append((i, rate))
-    if not benches:
-        return ""
-    width, height, pad = 960, 300, 45
-    n = len(trajectory)
-    out = ["<h2>Simulator-speed trajectory</h2>",
-           "<svg viewBox='0 0 %d %d' width='100%%'>" % (width, height)]
-    import math
-    allr = [r for pts in benches.values() for _, r in pts if r > 0]
-    lo = math.log10(min(allr))
-    hi = math.log10(max(allr))
-    span = (hi - lo) or 1.0
-
-    def xy(i, r):
-        x = pad + (width - 2 * pad) * (i / max(n - 1, 1))
-        y = height - pad - (height - 2 * pad) * \
-            ((math.log10(r) - lo) / span)
-        return x, y
-
-    # log-decade gridlines
-    for d in range(int(math.floor(lo)), int(math.ceil(hi)) + 1):
-        _, y = xy(0, 10 ** d)
-        out.append("<line x1='%d' y1='%.1f' x2='%d' y2='%.1f' "
-                   "stroke='#ddd'/>" % (pad, y, width - pad, y))
-        out.append("<text x='2' y='%.1f' font-size='10' fill='#888'>"
-                   "1e%d</text>" % (y + 3, d))
-    for ci, (name, pts) in enumerate(sorted(benches.items())):
-        color = PALETTE[ci % len(PALETTE)]
-        path = " ".join("%.1f,%.1f" % xy(i, r) for i, r in pts
-                        if r > 0)
-        out.append("<polyline points='%s' fill='none' stroke='%s' "
-                   "stroke-width='2'><title>%s</title></polyline>"
-                   % (path, color, esc(name)))
-        x, y = xy(*pts[-1])
-        out.append("<circle cx='%.1f' cy='%.1f' r='3' fill='%s'/>"
-                   % (x, y, color))
-    # legend
-    lx = pad
-    for ci, name in enumerate(sorted(benches)):
-        out.append("<rect x='%d' y='%d' width='9' height='9' "
-                   "fill='%s'/>" % (lx, 6, PALETTE[ci % len(PALETTE)]))
-        out.append("<text x='%d' y='14' font-size='10'>%s</text>"
-                   % (lx + 12, esc(name)))
-        lx += 12 + 7 * len(name) + 14
-    # x labels: entry labels, clipped
-    for i, entry in enumerate(trajectory):
-        x, _ = xy(i, 10 ** lo)
-        label = entry.get("label", str(i))[:28]
-        out.append("<text x='%.1f' y='%d' font-size='9' fill='#666' "
-                   "transform='rotate(12 %.1f %d)'>%s</text>"
-                   % (x, height - 26, x, height - 26, esc(label)))
-    out.append("</svg>")
-    out.append("<p class='note'>log-scale throughput "
-               "(sim_cycles/s, bytecodes/s) per trajectory entry, "
-               "oldest left</p>")
-    return "\n".join(out)
-
-
 # ---------------------------------------------------------------- main
 
 CSS = """
@@ -380,15 +310,12 @@ def main():
                     help="campaign analytics JSON (--analytics-out=)")
     ap.add_argument("--metrics", type=Path,
                     help="metrics registry JSON (--metrics-out=)")
-    ap.add_argument("--trajectory", type=Path,
-                    help="BENCH_simspeed.json-style trajectory")
     ap.add_argument("--out", type=Path, required=True,
                     help="output HTML path")
     ap.add_argument("--title", default="Jrpm speculation observatory")
     args = ap.parse_args()
-    if not (args.analytics or args.metrics or args.trajectory):
-        ap.error("need at least one of --analytics / --metrics / "
-                 "--trajectory")
+    if not (args.analytics or args.metrics):
+        ap.error("need at least one of --analytics / --metrics")
 
     body = ["<h1>%s</h1>" % esc(args.title)]
 
@@ -412,9 +339,6 @@ def main():
         body.append(campaign_sections(analytics))
     if metrics:
         body.append(telemetry_section(metrics))
-    if args.trajectory:
-        body.append(timeline_section(
-            json.loads(args.trajectory.read_text())))
 
     doc = ("<!doctype html><html><head><meta charset='utf-8'>"
            "<title>%s</title><style>%s</style></head><body>%s"

@@ -12,7 +12,7 @@ namespace hostprof
 {
 
 std::atomic<bool> gEnabled{false};
-thread_local ThreadTable tTable;
+constinit thread_local ThreadTable tTable;
 
 namespace
 {

@@ -105,7 +105,7 @@ struct ThreadTable
     int current = -1;  ///< innermost open slot, -1 when none
 };
 
-extern thread_local ThreadTable tTable;
+extern constinit thread_local ThreadTable tTable;
 
 /** Read the timestamp counter (or a steady-clock fallback). */
 inline std::uint64_t
