@@ -92,7 +92,7 @@ using forge::CorpusEntry;
 using forge::ScenarioSpec;
 
 /** Campaign-sized pipeline config: strict oracle unless overridden,
- *  small memory image so strict compares stay cheap. */
+ *  an 8 MB memory image and a bounded watchdog. */
 JrpmConfig
 forgeConfig(const Options &opt)
 {

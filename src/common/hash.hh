@@ -44,6 +44,18 @@ class Fnv1a
         return *this;
     }
 
+    /** bytes() over @p n zero bytes, in O(log n) multiplies: hashing
+     *  a zero byte only multiplies by the prime, so n of them
+     *  multiply by prime^n (mod 2^64). */
+    Fnv1a &
+    zeros(std::uint64_t n)
+    {
+        for (std::uint64_t p = kFnvPrime; n; n >>= 1, p *= p)
+            if (n & 1)
+                h *= p;
+        return *this;
+    }
+
     Fnv1a &
     u32(std::uint32_t v)
     {

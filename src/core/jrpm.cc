@@ -77,6 +77,19 @@ outcomeDiff(const RunOutcome &a, const RunOutcome &b)
     return d;
 }
 
+RunDigest
+RunDigest::of(const RunOutcome &o)
+{
+    RunDigest d;
+    d.halted = o.halted;
+    d.uncaught = o.uncaught;
+    d.exitValue = o.exitValue;
+    d.output = o.vm.output;
+    d.memChecksum = o.memChecksum;
+    d.memImage = o.memImage;
+    return d;
+}
+
 JrpmSystem::JrpmSystem(Workload workload, JrpmConfig config)
     : load(std::move(workload)), cfg(std::move(config)),
       theJit(load.program, cfg.jit)
@@ -122,13 +135,13 @@ JrpmSystem::runOn(Machine &m, const std::vector<Word> &args)
     out.l2Misses = m.l2Misses();
     out.watchdogFired = m.watchdogFired();
     if (cfg.oracle.mode != OracleMode::Off) {
+        JRPM_HPROF(OracleCheck);
         const auto skip =
             VmRuntime::scratchRegions(vmCfg, cfg.sys.numCpus);
         out.memChecksum = m.memoryChecksum(skip);
         if (cfg.oracle.mode == OracleMode::Strict)
-            out.memImage = std::make_shared<
-                const std::vector<std::uint8_t>>(
-                m.memorySnapshot());
+            out.memImage =
+                std::make_shared<const MemImage>(m.memorySnapshot());
     }
     {
         JRPM_HPROF(MetricsPublish);
@@ -482,19 +495,10 @@ JrpmSystem::runPipeline()
     // Differential oracle: the TLS run's final memory image must be
     // the sequential run's, bit for bit outside the VM scratch words.
     if (cfg.oracle.mode != OracleMode::Off) {
-        auto digest = [](const RunOutcome &o) {
-            RunDigest d;
-            d.halted = o.halted;
-            d.uncaught = o.uncaught;
-            d.exitValue = o.exitValue;
-            d.output = o.vm.output;
-            d.memChecksum = o.memChecksum;
-            d.memImage = o.memImage;
-            return d;
-        };
         JRPM_HPROF(OracleCheck);
         rep.oracle = Oracle::compare(
-            cfg.oracle, digest(rep.seqMain), digest(rep.tls),
+            cfg.oracle, RunDigest::of(rep.seqMain),
+            RunDigest::of(rep.tls),
             VmRuntime::scratchRegions(cfg.vm, cfg.sys.numCpus));
         if (!rep.oracle.match()) {
             rep.outputsMatch = false;

@@ -137,7 +137,7 @@ struct RunOutcome
     std::uint64_t l2Misses = 0;
     /** Oracle capture (zero / null when the oracle is off). */
     std::uint64_t memChecksum = 0;
-    std::shared_ptr<const std::vector<std::uint8_t>> memImage;
+    std::shared_ptr<const MemImage> memImage; ///< Strict mode only
     bool watchdogFired = false;
     std::uint32_t faultsInjected = 0;
 };

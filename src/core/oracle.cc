@@ -1,6 +1,7 @@
 #include "oracle.hh"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/logging.hh"
 #include "common/trace.hh"
@@ -70,18 +71,40 @@ Oracle::compare(const OracleConfig &cfg, const RunDigest &golden,
 
     if (cfg.mode == OracleMode::Strict && golden.memImage &&
         actual.memImage) {
-        const auto &g = *golden.memImage;
-        const auto &a = *actual.memImage;
-        const std::size_t n = std::min(g.size(), a.size());
-        for (std::size_t i = 0; i < n; ++i) {
-            if (g[i] == a[i])
+        const MemImage &g = *golden.memImage;
+        const MemImage &a = *actual.memImage;
+        const std::uint32_t n = std::min(g.size(), a.size());
+        // Walk the pages either run wrote in address order; a page
+        // only one side holds is zeros on the other.  Equal pages
+        // cost one memcmp, and only a mismatching page is diffed
+        // byte by byte.
+        static constexpr std::uint8_t kZeros[MainMemory::kPageBytes] = {};
+        constexpr std::uint32_t kNone = ~0u;
+        std::size_t gi = 0, ai = 0;
+        for (;;) {
+            const std::uint32_t gp =
+                gi < g.pages.size() ? g.pages[gi] : kNone;
+            const std::uint32_t ap =
+                ai < a.pages.size() ? a.pages[ai] : kNone;
+            const std::uint32_t p = std::min(gp, ap);
+            const Addr base = p * MainMemory::kPageBytes;
+            if (p == kNone || base >= n)
+                break;
+            const std::uint8_t *gb =
+                gp == p ? g.page(gi++).data() : kZeros;
+            const std::uint8_t *ab =
+                ap == p ? a.page(ai++).data() : kZeros;
+            const std::uint32_t len =
+                std::min(MainMemory::kPageBytes, n - base);
+            if (std::memcmp(gb, ab, len) == 0)
                 continue;
-            if (inSkip(static_cast<Addr>(i), skip))
-                continue;
-            ++rep.diffBytes;
-            if (rep.firstDiffs.size() < cfg.maxDiffs)
-                rep.firstDiffs.push_back(
-                    {static_cast<Addr>(i), g[i], a[i]});
+            for (std::uint32_t b = 0; b < len; ++b) {
+                if (gb[b] == ab[b] || inSkip(base + b, skip))
+                    continue;
+                ++rep.diffBytes;
+                if (rep.firstDiffs.size() < cfg.maxDiffs)
+                    rep.firstDiffs.push_back({base + b, gb[b], ab[b]});
+            }
         }
         rep.diffBytes += g.size() > n ? g.size() - n : a.size() - n;
         if (rep.diffBytes)

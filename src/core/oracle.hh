@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/types.hh"
+#include "memory/main_memory.hh"
 
 namespace jrpm
 {
@@ -28,7 +29,7 @@ enum class OracleMode : std::uint8_t
 {
     Off,      ///< legacy exit-value/output compare only
     Checksum, ///< + FNV-1a checksum over the memory image
-    Strict,   ///< + full byte-wise image diff with attribution
+    Strict,   ///< + byte-wise image diff with attribution
 };
 
 const char *oracleModeName(OracleMode mode);
@@ -45,6 +46,8 @@ struct OracleConfig
     std::size_t maxDiffs = 8;
 };
 
+struct RunOutcome;
+
 /** What one run left behind, as the oracle sees it. */
 struct RunDigest
 {
@@ -53,8 +56,11 @@ struct RunDigest
     Word exitValue = 0;
     std::vector<Word> output;
     std::uint64_t memChecksum = 0;
-    /** Full image; only captured in Strict mode. */
-    std::shared_ptr<const std::vector<std::uint8_t>> memImage;
+    /** Written pages; only captured in Strict mode. */
+    std::shared_ptr<const MemImage> memImage;
+
+    /** The oracle's view of one machine run. */
+    static RunDigest of(const RunOutcome &o);
 };
 
 /** One divergent byte of the final memory image. */

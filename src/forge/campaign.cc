@@ -24,19 +24,6 @@ namespace forge
 namespace
 {
 
-RunDigest
-digestOf(const RunOutcome &o)
-{
-    RunDigest d;
-    d.halted = o.halted;
-    d.uncaught = o.uncaught;
-    d.exitValue = o.exitValue;
-    d.output = o.vm.output;
-    d.memChecksum = o.memChecksum;
-    d.memImage = o.memImage;
-    return d;
-}
-
 std::uint64_t
 soloEntriesOf(const JrpmReport &rep)
 {
@@ -106,14 +93,14 @@ runCase(const ScenarioSpec &spec, const JrpmConfig &base,
         rep.seqMain.halted) {
         const auto skip =
             VmRuntime::scratchRegions(base.vm, base.sys.numCpus);
-        const RunDigest golden = digestOf(rep.seqMain);
+        const RunDigest golden = RunDigest::of(rep.seqMain);
         for (const auto &li : sys.jit().loopInfos()) {
             SelectedStl sel;
             sel.loopId = li.loopId;
             const RunOutcome tls = sys.runTls(w.mainArgs, {sel});
             ++cr.forcedLoops;
             const OracleReport orep = Oracle::compare(
-                base.oracle, golden, digestOf(tls), skip);
+                base.oracle, golden, RunDigest::of(tls), skip);
             if (!orep.match()) {
                 ++cr.forcedDiverged;
                 if (cr.detail.empty())
@@ -308,11 +295,12 @@ runCampaign(const CampaignConfig &cfg)
             jobs[i].workload.name = strfmt(
                 "forge-seed-%016llx",
                 static_cast<unsigned long long>(specs[slot].seed));
+            // The report stays in runCase: a case's memory images
+            // die with the case instead of waiting for the batch.
             jobs[i].custom = [&cfg, &specs, &out, slot]() {
-                JrpmReport rep;
                 out[slot] = runCase(specs[slot], cfg.base,
-                                    cfg.forcedSweep, &rep);
-                return rep;
+                                    cfg.forcedSweep);
+                return JrpmReport{};
             };
         }
         DriverConfig dc;

@@ -123,11 +123,8 @@ class Machine
     std::uint32_t sequentialCpu() const { return seqCpu; }
 
     // ---- differential oracle -----------------------------------------
-    /** Copy of the full memory image (use sparingly: memBytes big). */
-    std::vector<std::uint8_t> memorySnapshot() const
-    {
-        return mem.image();
-    }
+    /** Copy of the memory pages the run wrote. */
+    MemImage memorySnapshot() const { return mem.image(); }
     /** FNV-1a checksum of memory, skipping sorted @p skip regions. */
     std::uint64_t
     memoryChecksum(const std::vector<std::pair<Addr, std::uint32_t>>

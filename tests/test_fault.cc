@@ -9,7 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <random>
+#include <utility>
+#include <vector>
 
 #include "common/fault.hh"
 #include "core/jrpm.hh"
@@ -444,18 +448,8 @@ struct Harness
     OracleReport
     compare(const RunOutcome &tls) const
     {
-        auto digest = [](const RunOutcome &o) {
-            RunDigest d;
-            d.halted = o.halted;
-            d.uncaught = o.uncaught;
-            d.exitValue = o.exitValue;
-            d.output = o.vm.output;
-            d.memChecksum = o.memChecksum;
-            d.memImage = o.memImage;
-            return d;
-        };
         return Oracle::compare(
-            cfg.oracle, digest(seq), digest(tls),
+            cfg.oracle, RunDigest::of(seq), RunDigest::of(tls),
             VmRuntime::scratchRegions(cfg.vm, cfg.sys.numCpus));
     }
 };
@@ -601,6 +595,113 @@ TEST(FaultTest, GovernorBlacklistsHopelessLoop)
     // ...and solo execution must still be correct.
     const OracleReport rep = h.compare(tls);
     EXPECT_TRUE(rep.match()) << rep.summary();
+}
+
+using SkipList = std::vector<std::pair<Addr, std::uint32_t>>;
+
+/** The strict memory compare as a byte loop over dense images: the
+ *  reference the sparse page walk must reproduce. */
+OracleReport
+denseCompare(const OracleConfig &cfg, const std::vector<std::uint8_t> &g,
+             const std::vector<std::uint8_t> &a, const SkipList &skip)
+{
+    OracleReport rep;
+    const std::size_t n = std::min(g.size(), a.size());
+    for (std::size_t i = 0; i < n; ++i) {
+        bool skipped = false;
+        for (const auto &[base, len] : skip)
+            skipped |= i >= base && i - base < len;
+        if (g[i] == a[i] || skipped)
+            continue;
+        ++rep.diffBytes;
+        if (rep.firstDiffs.size() < cfg.maxDiffs)
+            rep.firstDiffs.push_back({static_cast<Addr>(i), g[i], a[i]});
+    }
+    rep.diffBytes += g.size() > n ? g.size() - n : a.size() - n;
+    return rep;
+}
+
+/** Oracle::compare on the two memories' images, checked against
+ *  denseCompare; returns the sparse verdict. */
+OracleReport
+expectSameVerdict(const OracleConfig &cfg, const MainMemory &g,
+                  const MainMemory &a, const SkipList &skip)
+{
+    RunDigest gd, ad;
+    gd.memImage = std::make_shared<const MemImage>(g.image());
+    ad.memImage = std::make_shared<const MemImage>(a.image());
+    const OracleReport got = Oracle::compare(cfg, gd, ad, skip);
+    const OracleReport want =
+        denseCompare(cfg, *gd.memImage, *ad.memImage, skip);
+    EXPECT_EQ(got.diffBytes, want.diffBytes);
+    EXPECT_EQ(got.memMatch, want.diffBytes == 0);
+    EXPECT_EQ(got.firstDiffs.size(), want.firstDiffs.size());
+    const std::size_t n =
+        std::min(got.firstDiffs.size(), want.firstDiffs.size());
+    for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(got.firstDiffs[i].addr, want.firstDiffs[i].addr);
+        EXPECT_EQ(got.firstDiffs[i].golden, want.firstDiffs[i].golden);
+        EXPECT_EQ(got.firstDiffs[i].actual, want.firstDiffs[i].actual);
+    }
+    return got;
+}
+
+TEST(Oracle, SparseCompareMatchesDenseReference)
+{
+    constexpr std::uint32_t kPage = MainMemory::kPageBytes;
+    OracleConfig cfg;
+    cfg.mode = OracleMode::Strict;
+
+    // A page only one side wrote, one written back to zeros, and the
+    // same diffs with one of them inside a skip region.
+    {
+        MainMemory g(3 * kPage), a(3 * kPage);
+        g.writeByte(kPage + 0x10, 0xaa);
+        a.writeByte(2 * kPage + 0x20, 0xbb);
+        a.writeWord(0x40, 0x12345678);
+        a.writeWord(0x40, 0);
+        EXPECT_EQ(expectSameVerdict(cfg, g, a, {{kPage, 0x100}}).diffBytes,
+                  1u);
+        const OracleReport rep = expectSameVerdict(cfg, g, a, {});
+        EXPECT_EQ(rep.diffBytes, 2u);
+        ASSERT_EQ(rep.firstDiffs.size(), 2u);
+        EXPECT_EQ(rep.firstDiffs[0].addr, kPage + 0x10);
+        EXPECT_EQ(rep.firstDiffs[1].addr, 2 * kPage + 0x20);
+    }
+
+    // Random images of equal and different sizes: diffs on several
+    // pages (more than maxDiffs of them), pages one side holds, and
+    // random skip regions.
+    std::mt19937 rng(0xd1ff);
+    const std::pair<std::uint32_t, std::uint32_t> sizes[] = {
+        {6 * kPage, 6 * kPage},
+        {5 * kPage + 100, 3 * kPage + 7},
+        {2 * kPage + 1, 7 * kPage},
+    };
+    const std::size_t maxDiffs[] = {0, 3, 8, 1000};
+    for (const auto &[gBytes, aBytes] : sizes) {
+        for (int trial = 0; trial < 24; ++trial) {
+            MainMemory g(gBytes), a(aBytes);
+            for (int w = 0; w < 80; ++w) {
+                const Addr at = rng() % std::max(gBytes, aBytes);
+                const auto v = static_cast<std::uint8_t>(rng());
+                const unsigned side = rng() % 6; // 0/1: one side only
+                if (side != 1 && g.valid(at))
+                    g.writeByte(at, v);
+                if (side != 0 && a.valid(at))
+                    a.writeByte(at, v);
+            }
+            SkipList skip;
+            for (Addr at = rng() % kPage; skip.size() < 3;
+                 at += kPage + rng() % (2 * kPage)) {
+                skip.emplace_back(at, 1 + rng() % kPage);
+                at += skip.back().second;
+            }
+            cfg.maxDiffs = maxDiffs[trial % 4];
+            expectSameVerdict(cfg, g, a, skip);
+            expectSameVerdict(cfg, g, a, {});
+        }
+    }
 }
 
 } // namespace

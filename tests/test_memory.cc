@@ -6,6 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <random>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/hash.hh"
 #include "memory/cache.hh"
 #include "memory/main_memory.hh"
 #include "memory/spec_state.hh"
@@ -55,6 +63,127 @@ TEST(MainMemory, ClearZeroesRegion)
     m.writeWord(8, 0xffffffff);
     m.clear(8, 4);
     EXPECT_EQ(m.readWord(8), 0u);
+}
+
+using SkipList = std::vector<std::pair<Addr, std::uint32_t>>;
+
+/** FNV-1a over every byte outside @p skip, read one by one. */
+std::uint64_t
+byteLoopChecksum(const MainMemory &m, const SkipList &skip)
+{
+    Fnv1a h;
+    for (Addr a = 0; a < m.size(); ++a) {
+        bool skipped = false;
+        for (const auto &[base, len] : skip)
+            skipped |= a >= base && a - base < len;
+        if (!skipped)
+            h.byte(m.readByte(a));
+    }
+    return h.value();
+}
+
+/** Sorted, non-overlapping regions, some reaching past the image. */
+SkipList
+randomSkips(std::mt19937 &rng, std::uint32_t bytes)
+{
+    SkipList skip;
+    Addr at = 0;
+    const int n = static_cast<int>(rng() % 4);
+    for (int i = 0; i < n; ++i) {
+        at += rng() % (bytes / 2 + 1);
+        const std::uint32_t len = 1 + rng() % (2 * MainMemory::kPageBytes);
+        skip.emplace_back(at, len);
+        at += len;
+    }
+    return skip;
+}
+
+TEST(MainMemory, ChecksumMatchesByteLoop)
+{
+    constexpr std::uint32_t kPage = MainMemory::kPageBytes;
+    std::mt19937 rng(0x5eed);
+    for (const std::uint32_t bytes :
+         {1u, 100u, kPage, 3 * kPage + 123, 9 * kPage + 2}) {
+        MainMemory m(bytes);
+        EXPECT_EQ(m.checksum(), byteLoopChecksum(m, {}));
+        for (int round = 0; round < 6; ++round) {
+            for (int w = 0; w < 40; ++w) {
+                const Addr a = rng() % bytes;
+                const Word v = rng() % 3 ? rng() : 0;
+                switch (rng() % 4) {
+                  case 0:
+                    if (m.valid(a & ~3u, 4))
+                        m.writeWord(a & ~3u, v);
+                    break;
+                  case 1:
+                    if (m.valid(a & ~1u, 2))
+                        m.writeHalf(a & ~1u, static_cast<std::uint16_t>(v));
+                    break;
+                  case 2:
+                    m.writeByte(a, static_cast<std::uint8_t>(v));
+                    break;
+                  default:
+                    m.clear(a, std::min<std::uint32_t>(
+                                   bytes - a, rng() % (2 * kPage)));
+                    break;
+                }
+            }
+            for (int k = 0; k < 4; ++k) {
+                const SkipList skip = randomSkips(rng, bytes);
+                EXPECT_EQ(m.checksum(skip), byteLoopChecksum(m, skip))
+                    << bytes << " bytes, round " << round;
+            }
+        }
+    }
+
+    // A clear across page boundaries, a page written and zeroed
+    // again, and a write into the short last page.
+    MainMemory m(3 * kPage + 123);
+    for (Addr a = 0; a < m.size(); a += 97)
+        m.writeByte(a, static_cast<std::uint8_t>(a | 1));
+    m.clear(kPage - 10, kPage + 20);
+    m.writeWord(2 * kPage + 64, 0xdeadbeef);
+    m.writeWord(2 * kPage + 64, 0);
+    m.writeHalf(3 * kPage + 120, 0xbeef);
+    const SkipList skip = {{kPage / 2, kPage}, {3 * kPage + 121, 1000}};
+    EXPECT_EQ(m.checksum(), byteLoopChecksum(m, {}));
+    EXPECT_EQ(m.checksum(skip), byteLoopChecksum(m, skip));
+    MainMemory zeroed(3 * kPage);
+    zeroed.writeWord(kPage, 7);
+    zeroed.clear(0, 3 * kPage);
+    EXPECT_EQ(zeroed.checksum(), MainMemory(3 * kPage).checksum());
+}
+
+TEST(MainMemory, EveryWriterMarksItsPage)
+{
+    constexpr std::uint32_t kPage = MainMemory::kPageBytes;
+    constexpr Addr kAt = 2 * kPage + 0x40;
+    const std::vector<std::pair<std::string,
+                                std::function<void(MainMemory &)>>>
+        writers = {
+            {"writeWord", [](MainMemory &m) { m.writeWord(kAt, 0x5a); }},
+            {"writeHalf", [](MainMemory &m) { m.writeHalf(kAt, 0x5a); }},
+            {"writeByte", [](MainMemory &m) { m.writeByte(kAt, 0x5a); }},
+            {"StoreBuffer::drainTo",
+             [](MainMemory &m) {
+                 StoreBuffer b;
+                 b.write(kAt, 0x5a, 1);
+                 b.drainTo(m);
+             }},
+        };
+    const std::uint64_t fresh = MainMemory(4 * kPage).checksum();
+    for (const auto &[name, write] : writers) {
+        MainMemory m(4 * kPage);
+        write(m);
+        EXPECT_NE(m.checksum(), fresh) << name;
+        const MemImage img = m.image();
+        EXPECT_EQ(img.size(), 4 * kPage) << name;
+        ASSERT_EQ(img.pages, std::vector<std::uint32_t>{2}) << name;
+        EXPECT_EQ(img.page(0)[kAt % kPage], 0x5a) << name;
+        const std::vector<std::uint8_t> dense = img;
+        EXPECT_EQ(dense.size(), 4 * kPage) << name;
+        EXPECT_EQ(dense[kAt], 0x5a) << name;
+    }
 }
 
 TEST(CacheModel, HitAfterFill)

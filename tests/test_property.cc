@@ -111,7 +111,7 @@ TEST_P(OracleFuzz, StrictOracleCleanAcrossSeeds)
     ASSERT_EQ(verify(w.program), "");
 
     JrpmConfig cfg;
-    cfg.sys.memBytes = 8u << 20;  // keep the image copies small
+    cfg.sys.memBytes = 8u << 20;
     cfg.vm.heapBytes = 4u << 20;
     cfg.oracle.mode = OracleMode::Strict;
     JrpmSystem sys(w, cfg);
@@ -122,24 +122,13 @@ TEST_P(OracleFuzz, StrictOracleCleanAcrossSeeds)
 
     const auto skip =
         VmRuntime::scratchRegions(cfg.vm, cfg.sys.numCpus);
-    auto digest = [](const RunOutcome &o) {
-        RunDigest d;
-        d.halted = o.halted;
-        d.uncaught = o.uncaught;
-        d.exitValue = o.exitValue;
-        d.output = o.vm.output;
-        d.memChecksum = o.memChecksum;
-        d.memImage = o.memImage;
-        return d;
-    };
-
     for (const auto &li : sys.jit().loopInfos()) {
         SelectedStl sel;
         sel.loopId = li.loopId;
         RunOutcome tls = sys.runTls(w.mainArgs, {sel});
         ASSERT_TRUE(tls.halted) << "loop " << li.loopId;
         const OracleReport rep = Oracle::compare(
-            cfg.oracle, digest(seq), digest(tls), skip);
+            cfg.oracle, RunDigest::of(seq), RunDigest::of(tls), skip);
         EXPECT_TRUE(rep.match())
             << "loop " << li.loopId << " seed " << GetParam()
             << ": " << rep.summary();

@@ -434,14 +434,12 @@ TEST(TraceLedger, OracleAttributesWhileAnotherPipelineRecords)
     OracleConfig oc;
     oc.mode = OracleMode::Strict;
     constexpr Addr kDiff = 0x40;
-    std::vector<std::uint8_t> image(256, 0);
+    MainMemory mem(256);
     RunDigest golden;
-    golden.memImage =
-        std::make_shared<const std::vector<std::uint8_t>>(image);
-    image[kDiff] = 1;
+    golden.memImage = std::make_shared<const MemImage>(mem.image());
+    mem.writeByte(kDiff, 1);
     RunDigest actual;
-    actual.memImage =
-        std::make_shared<const std::vector<std::uint8_t>>(image);
+    actual.memImage = std::make_shared<const MemImage>(mem.image());
 
     constexpr int kRecords = 4000; // inside the ledger bound
     std::atomic<bool> done{false};
