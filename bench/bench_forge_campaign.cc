@@ -71,7 +71,6 @@
 
 #include "bench_util.hh"
 #include "common/logging.hh"
-#include "common/metrics.hh"
 #include "common/obs.hh"
 #include "fleet/fleet.hh"
 #include "fleet/wire.hh"
@@ -280,19 +279,14 @@ workerMain(const Options &opt, const forge::CampaignConfig &cc)
                     &attempt) != 3)
         fatal("bad --worker-range '%s'", opt.workerRange.c_str());
 
-    JrpmConfig cfg = cc.base;
     if (!opt.forensics.empty()) {
         const int pid = static_cast<int>(getpid());
-        // Crash record (signal + pid) for the supervisor's harvest.
+        // Crash record (signal + pid) for the supervisor's harvest,
+        // and this worker's metrics, written when it exits or crashes.
         obs::armCrashSignals(
             opt.forensics + strfmt("/worker-%d.crash", pid));
-        // Partial telemetry: JrpmSystem::run() re-arms the obs
-        // failsafe from cfg.obs around every case, so the metrics
-        // path must ride in the config — a one-shot
-        // setFailsafeOutputs() call here would be overridden by the
-        // first case.
-        cfg.obs.metricsOut =
-            opt.forensics + strfmt("/worker-%d-metrics.json", pid);
+        obs::setOutputs(
+            "", opt.forensics + strfmt("/worker-%d-metrics.json", pid));
     }
 
     // Guided fleet batches: the supervisor hands us the weight bank
@@ -317,7 +311,7 @@ workerMain(const Options &opt, const forge::CampaignConfig &cc)
         const auto t0 = std::chrono::steady_clock::now();
         try {
             ScopedFatalCapture guard;
-            cr = forge::runCase(spec, cfg, cc.forcedSweep);
+            cr = forge::runCase(spec, cc.base, cc.forcedSweep);
         } catch (const std::exception &e) {
             cr = forge::failedCase(spec, e.what());
         }
@@ -357,14 +351,6 @@ workerReplayMain(const Options &opt, const forge::CampaignConfig &cc)
     return cr.failing(!cc.base.faultPlan.empty()) ? 2 : 0;
 }
 
-/** Write the final metrics dump. */
-void
-dumpFinalMetrics(const Options &opt)
-{
-    if (!opt.metricsOut.empty())
-        MetricsRegistry::global().writeFile(opt.metricsOut);
-}
-
 /** The campaign every campaign mode runs: scenarios, oracle, fault
  *  plan and generation knobs from the command line. */
 forge::CampaignConfig
@@ -384,7 +370,7 @@ campaignConfig(const Options &opt)
 }
 
 int
-diffFastPathMain(const Options &opt, const forge::CampaignConfig &cc)
+diffFastPathMain(const forge::CampaignConfig &cc)
 {
     std::printf("fast-path differential campaign: %u cases, seed "
                 "0x%" PRIx64 ", axes %s, oracle %s%s\n",
@@ -396,7 +382,6 @@ diffFastPathMain(const Options &opt, const forge::CampaignConfig &cc)
         forge::runFastPathDifferential(cc);
     std::printf("%s", res.summary().c_str());
     logReportSuppressed();
-    dumpFinalMetrics(opt);
     return res.clean() ? 0 : 1;
 }
 
@@ -473,7 +458,7 @@ campaignMain(int argc, char **argv)
         return shrinkDemo(opt);
     const forge::CampaignConfig cc = campaignConfig(opt);
     if (opt.diffFastPath)
-        return diffFastPathMain(opt, cc);
+        return diffFastPathMain(cc);
     if (!opt.workerRange.empty())
         return workerMain(opt, cc);
     if (!opt.workerReplay.empty())
@@ -499,11 +484,6 @@ campaignMain(int argc, char **argv)
         forge::writeCampaignAnalytics(opt.analyticsOut, cc, res))
         std::printf("analytics: %s\n", opt.analyticsOut.c_str());
     logReportSuppressed();
-    // The per-case pipelines each rewrote --metrics-out before the
-    // suppression counts above were published; dump once more so the
-    // final file carries the whole campaign, log.suppressed.*
-    // included.
-    dumpFinalMetrics(opt);
     return res.clean() ? 0 : 1;
 }
 

@@ -5,7 +5,10 @@
 #include <cstring>
 #include <memory>
 
+#include "common/hostprof.hh"
 #include "common/logging.hh"
+#include "common/obs.hh"
+#include "common/trace.hh"
 #include "core/report_json.hh"
 
 namespace jrpm
@@ -169,6 +172,16 @@ parseArgs(int argc, char **argv)
     gReportOut = opt.reportOut;
     if (!gReportOut.empty())
         std::atexit(flushReports);
+
+    // Observability is process-wide: switch the recorder and the
+    // profiler on once and export once, at exit.
+    if (!opt.traceOut.empty() || !opt.metricsOut.empty()) {
+        Trace &tr = Trace::global();
+        tr.configure(SystemConfig{}.numCpus, 1u << 15);
+        tr.setEnabled(true);
+        obs::setOutputs(opt.traceOut, opt.metricsOut);
+    }
+    hostprof::setEnabled(opt.hostprof);
     return opt;
 }
 
@@ -195,11 +208,6 @@ JrpmConfig
 benchConfig(const Options &opt)
 {
     JrpmConfig cfg;
-    cfg.obs.traceOut = opt.traceOut;
-    cfg.obs.metricsOut = opt.metricsOut;
-    cfg.obs.traceEnabled =
-        !opt.traceOut.empty() || !opt.metricsOut.empty();
-    cfg.obs.hostprofEnabled = opt.hostprof;
     if (!opt.oracle.empty()) {
         if (opt.oracle == "off")
             cfg.oracle.mode = OracleMode::Off;
@@ -246,7 +254,6 @@ runSuite(const std::vector<Workload> &workloads,
 
     DriverConfig dc;
     dc.jobs = gJobs;
-    dc.warm = gWarm;
     dc.progress = true;
     BatchDriver driver(dc);
     std::vector<DriverResult> results = driver.run(std::move(jobs));

@@ -90,14 +90,16 @@ struct Options
 };
 
 /** Parses flags; handles --help and --list (both print and exit).
- *  Registers the --report-out exit hook when requested. */
+ *  Registers the --report-out exit hook when requested, switches the
+ *  flight recorder and host profiler on for --trace-out/--metrics-out
+ *  and --hostprof, and arms their one export at exit (common/obs.hh). */
 Options parseArgs(int argc, char **argv);
 
 /** The workload list honoring --only, with --quick applied. */
 std::vector<Workload> selectWorkloads(const Options &opt);
 
-/** Default Jrpm configuration for benches, with any observability
- *  outputs from the command line wired into cfg.obs. */
+/** Default Jrpm configuration for benches, with --oracle and
+ *  --fault-plan from the command line applied. */
 JrpmConfig benchConfig(const Options &opt = {});
 
 /** Run the full pipeline for one workload with progress output.

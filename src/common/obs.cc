@@ -8,6 +8,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include "common/hostprof.hh"
 #include "common/logging.hh"
 #include "common/metrics.hh"
 #include "common/trace.hh"
@@ -29,14 +30,13 @@ bool handlersRegistered = false;
 void
 atexitFlush()
 {
-    failsafeFlush();
+    flush();
 }
 
 } // namespace
 
 void
-setFailsafeOutputs(const std::string &trace_out,
-                   const std::string &metrics_out)
+setOutputs(const std::string &trace_out, const std::string &metrics_out)
 {
     std::lock_guard<std::mutex> lock(armMu);
     armedTraceOut = trace_out;
@@ -44,13 +44,18 @@ setFailsafeOutputs(const std::string &trace_out,
     armed.store(!trace_out.empty() || !metrics_out.empty());
     if (!handlersRegistered) {
         handlersRegistered = true;
+        // Function-local statics constructed after this registration
+        // would be destroyed before the handler runs; construct the
+        // two the export reads first.
+        Trace::global();
+        MetricsRegistry::global();
         std::atexit(atexitFlush);
         logSetAbortHook(&atexitFlush);
     }
 }
 
 void
-failsafeFlush()
+flush()
 {
     if (!armed.exchange(false))
         return;
@@ -62,17 +67,17 @@ failsafeFlush()
     }
     if (!trace_out.empty())
         Trace::global().writeChromeJson(trace_out);
-    if (!metrics_out.empty())
-        MetricsRegistry::global().writeFile(metrics_out);
+    if (!metrics_out.empty()) {
+        auto &reg = MetricsRegistry::global();
+        if (hostprof::enabled()) {
+            hostprof::flushThread();
+            hostprof::publish(reg);
+        }
+        reg.writeFile(metrics_out);
+    }
 }
 
-void
-disarmFailsafe()
-{
-    armed.store(false);
-}
-
-// ---- crash-signal failsafe -------------------------------------------
+// ---- crash signals ---------------------------------------------------
 
 namespace
 {
@@ -132,7 +137,7 @@ crashSignalHandler(int sig)
     // exactly once, even if the flush itself crashes again.
     if (!crashing) {
         crashing = 1;
-        failsafeFlush();
+        flush();
     }
 
     // Step 3: die by the original signal.

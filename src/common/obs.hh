@@ -1,17 +1,16 @@
 /**
  * @file
- * Observability failsafe: make sure --trace-out= / --metrics-out=
- * still emit (partial) output when a run dies early.
+ * The process's one observability export: --trace-out= and
+ * --metrics-out= are written exactly once, when the process ends.
  *
- * A normal run exports its trace and metrics at the very end of
- * JrpmSystem::run().  A run that panics (oracle divergence detected
- * via panic, internal invariant), calls fatal(), or exits through an
- * uncaught path would previously lose exactly the telemetry that
- * explains the failure.  setFailsafeOutputs() arms an atexit handler
- * (covers fatal()/exit paths) and the logging abort hook (covers
- * panic(), which aborts and skips atexit); failsafeFlush() is
- * idempotent, and disarmFailsafe() is called after the normal export
- * so a clean run writes each file exactly once.
+ * Like the paper's TEST hardware, the flight recorder and the metrics
+ * registry collect while the program runs and are read out once
+ * afterwards.  setOutputs() arms an atexit handler (normal exit and
+ * fatal()) and the logging abort hook (panic(), which aborts and
+ * skips atexit); armCrashSignals() adds the crash signals.  Whichever
+ * runs first calls flush(), which writes the armed files and disarms,
+ * so a run that dies early still leaves the telemetry that explains
+ * the failure.  Pipelines never write these files.
  */
 
 #ifndef JRPM_COMMON_OBS_HH
@@ -25,35 +24,33 @@ namespace obs
 {
 
 /**
- * Arm the failure-path flush for this process.  Empty paths disable
- * the corresponding output.  Later calls replace the paths (the
- * handlers are registered once).
+ * Arm the export for this process.  Empty paths disable the
+ * corresponding output.  Later calls replace the paths (the handlers
+ * are registered once).
  */
-void setFailsafeOutputs(const std::string &trace_out,
-                        const std::string &metrics_out);
+void setOutputs(const std::string &trace_out,
+                const std::string &metrics_out);
 
 /**
- * Write the armed outputs now (trace as Chrome JSON, metrics as
- * JSON) and disarm.  Safe to call multiple times; only the first
- * call after arming writes.  Called automatically at exit/abort.
+ * Write the armed outputs now and disarm: the trace as Chrome JSON,
+ * then the metrics registry (JSON if the path ends in ".json", else
+ * text) after publishing the host profiler's slots when it is on.
+ * Only the first call after arming writes.  Called automatically at
+ * exit, abort and crash signals.
  */
-void failsafeFlush();
-
-/** Disarm without writing (the normal end-of-run export ran). */
-void disarmFailsafe();
+void flush();
 
 /**
- * Extend the failsafe to fatal signals (SIGSEGV, SIGBUS, SIGABRT,
+ * Extend the export to fatal signals (SIGSEGV, SIGBUS, SIGABRT,
  * SIGFPE, SIGILL): install handlers that
  *
  *  1. write a one-line crash record ("signal <n> pid <p>") to
  *     @p crash_path using only async-signal-safe calls — the file is
  *     opened (and truncated) now, while the process is healthy, so
  *     the handler itself only write()s;
- *  2. best-effort flush the armed --trace-out / --metrics-out
- *     partial output (failsafeFlush() allocates, so this step is
- *     *not* strictly async-signal-safe: a crash inside malloc can
- *     wedge here.  Crashed fleet workers are reaped by the
+ *  2. best-effort flush() the armed outputs (flush() allocates, so
+ *     this step is *not* strictly async-signal-safe: a crash inside
+ *     malloc can wedge here.  Crashed fleet workers are reaped by the
  *     supervisor's per-case timeout, which backstops exactly this);
  *  3. restore the default disposition and re-raise, so the exit
  *     status still reports the original signal.

@@ -103,36 +103,6 @@ class SampleStat
     double max_ = 0.0;
 };
 
-/** Fixed-bucket histogram with an overflow bucket. */
-class Histogram
-{
-  public:
-    /** @param bucket_width width of each bucket
-     *  @param num_buckets  number of regular buckets */
-    explicit Histogram(double bucket_width = 1.0,
-                       std::size_t num_buckets = 64)
-        : width(bucket_width), buckets(num_buckets + 1, 0)
-    {}
-
-    void
-    sample(double v)
-    {
-        stat.sample(v);
-        std::size_t idx = v < 0 ? 0 : static_cast<std::size_t>(v / width);
-        if (idx >= buckets.size() - 1)
-            idx = buckets.size() - 1;
-        buckets[idx] += 1;
-    }
-
-    const SampleStat &summary() const { return stat; }
-    const std::vector<std::uint64_t> &raw() const { return buckets; }
-
-  private:
-    double width;
-    std::vector<std::uint64_t> buckets;
-    SampleStat stat;
-};
-
 /**
  * A fixed-width text table printer used by the benchmark harnesses to
  * regenerate the paper's tables.

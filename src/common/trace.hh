@@ -212,16 +212,6 @@ class Trace
     /** Events lost to ring wraparound. */
     std::uint64_t dropped() const;
 
-    std::uint32_t cpuTracks() const { return nCpuTracks; }
-
-    /** Events each ring can hold (0 before configure()). */
-    std::size_t
-    capacity() const
-    {
-        std::lock_guard<std::recursive_mutex> lock(mu);
-        return rings.empty() ? 0 : rings.front().buf.size();
-    }
-
     /** The violation ledger, oldest first.  Like every readout this
      *  is a copy taken under the lock: concurrent pipelines keep
      *  appending. */

@@ -6,7 +6,6 @@
 #include "common/hostprof.hh"
 #include "common/logging.hh"
 #include "common/metrics.hh"
-#include "common/obs.hh"
 #include "common/trace.hh"
 
 namespace jrpm
@@ -296,52 +295,22 @@ JrpmSystem::selectOnly()
         an.select(theJit.loopInfos(), profiles));
 }
 
-std::uint64_t
-JrpmSystem::fingerprint() const
-{
-    return crystalFingerprint(
-        hashProgram(load.program), hashArgs(load.profileArgs),
-        hashAnalyzerConfig(cfg.analyzer, cfg.tracer));
-}
-
 JrpmReport
 JrpmSystem::run()
 {
-    hostprof::setEnabled(cfg.obs.hostprofEnabled);
-    // Arm the failure-path flush: a panic/abort mid-pipeline still
-    // emits whatever trace/metrics have accumulated so far.
-    obs::setFailsafeOutputs(cfg.obs.traceOut, cfg.obs.metricsOut);
-
     JrpmReport rep;
     {
         JRPM_HPROF(Pipeline);
         rep = runPipeline();
     }
-    if (hostprof::enabled()) {
+    if (hostprof::enabled())
         hostprof::flushThread();
-        hostprof::publish(MetricsRegistry::global());
-    }
-    if (!cfg.obs.traceOut.empty())
-        Trace::global().writeChromeJson(cfg.obs.traceOut);
-    if (!cfg.obs.metricsOut.empty())
-        MetricsRegistry::global().writeFile(cfg.obs.metricsOut);
-    obs::disarmFailsafe();
     return rep;
 }
 
 JrpmReport
 JrpmSystem::runPipeline()
 {
-    if (cfg.obs.traceEnabled) {
-        auto &tr = Trace::global();
-        // Keep events from earlier runs (a bench tracing several
-        // workloads); only resize when the geometry changed.
-        if (tr.cpuTracks() != cfg.sys.numCpus ||
-            tr.capacity() != cfg.obs.traceCapacity)
-            tr.configure(cfg.sys.numCpus, cfg.obs.traceCapacity);
-        tr.setEnabled(true);
-    }
-
     JrpmReport rep;
     rep.name = load.name;
 

@@ -56,23 +56,6 @@ struct Workload
     std::string manualNote;        ///< Table 4: what was transformed
 };
 
-/** Observability: flight-recorder tracing and metrics export. */
-struct ObsConfig
-{
-    /** Capture events into the global flight recorder. */
-    bool traceEnabled = false;
-    /** Events retained per ring (per CPU + host track). */
-    std::size_t traceCapacity = 1u << 15;
-    /** Write Chrome/Perfetto trace_event JSON here after run(). */
-    std::string traceOut;
-    /** Write the metrics registry here after run() (".json" selects
-     *  JSON, anything else text). */
-    std::string metricsOut;
-    /** Enable the host-cycle self-profiler for this run (published
-     *  as hostprof.* metrics; ~zero cost when off). */
-    bool hostprofEnabled = false;
-};
-
 /** Crystal repository wiring: warm-start policy for this instance. */
 struct CrystalRunConfig
 {
@@ -102,7 +85,6 @@ struct JrpmConfig
     AnalyzerConfig analyzer;
     VmConfig vm;
     TracerConfig tracer;
-    ObsConfig obs;
     /** Persistent decomposition repository (warm-start). */
     CrystalRunConfig crystal;
     /** Differential oracle against the sequential golden run. */
@@ -231,11 +213,6 @@ class JrpmSystem
     const JrpmConfig &config() const { return cfg; }
     const Workload &workload() const { return load; }
 
-    /** The crystal repository key of this instance: a deterministic
-     *  fingerprint of (program, profile args, analyzer + tracer
-     *  config, schema version). */
-    std::uint64_t fingerprint() const;
-
   private:
     Workload load;
     JrpmConfig cfg;
@@ -244,7 +221,7 @@ class JrpmSystem
     RunOutcome runOn(Machine &m, const std::vector<Word> &args);
 
     /** The Fig. 1 pipeline body; run() wraps it with the host-side
-     *  profiler's Pipeline slot and the observability exports. */
+     *  profiler's Pipeline slot. */
     JrpmReport runPipeline();
 
     /**

@@ -79,13 +79,4 @@ CodeSpace::method(std::uint32_t method_id)
     return methods[method_id];
 }
 
-std::size_t
-CodeSpace::totalInsts() const
-{
-    std::size_t n = 0;
-    for (const auto &m : methods)
-        n += m.insts.size();
-    return n;
-}
-
 } // namespace jrpm

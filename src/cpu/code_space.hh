@@ -63,9 +63,6 @@ class CodeSpace
         return static_cast<std::uint32_t>(methods.size());
     }
 
-    /** Total instruction count across all methods. */
-    std::size_t totalInsts() const;
-
     /**
      * Monotonic counter bumped whenever installed code changes
      * (install or replace).  Consumers caching raw pointers into a

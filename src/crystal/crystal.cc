@@ -7,7 +7,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <sstream>
 
 #include <fcntl.h>
 #include <sys/file.h>
@@ -21,6 +20,7 @@
 #include "common/hash.hh"
 #include "common/logging.hh"
 #include "common/metrics.hh"
+#include "common/token_reader.hh"
 
 namespace fs = std::filesystem;
 
@@ -163,128 +163,6 @@ putStat(std::string &out, const char *name, const SampleStat &s)
                   d2s(s.min()).c_str(), d2s(s.max()).c_str());
 }
 
-/** Token reader over the serialized text; sets fail on any misparse
- *  (including premature end — i.e. truncation). */
-struct Reader
-{
-    std::istringstream in;
-    bool fail = false;
-    std::string what;
-
-    explicit Reader(const std::string &text) : in(text) {}
-
-    void
-    err(const std::string &msg)
-    {
-        if (!fail)
-            what = msg;
-        fail = true;
-    }
-
-    std::string
-    word()
-    {
-        std::string t;
-        if (fail || !(in >> t))
-            err("unexpected end of entry");
-        return t;
-    }
-
-    /** Consume a fixed keyword token. */
-    void
-    expect(const char *kw)
-    {
-        const std::string t = word();
-        if (!fail && t != kw)
-            err(strfmt("expected '%s', got '%s'", kw, t.c_str()));
-    }
-
-    std::uint64_t
-    u64()
-    {
-        const std::string t = word();
-        if (fail)
-            return 0;
-        errno = 0;
-        char *end = nullptr;
-        const std::uint64_t v = std::strtoull(t.c_str(), &end, 0);
-        if (errno || end == t.c_str() || *end)
-            err("bad integer '" + t + "'");
-        return v;
-    }
-
-    std::int64_t
-    i64()
-    {
-        const std::string t = word();
-        if (fail)
-            return 0;
-        errno = 0;
-        char *end = nullptr;
-        const std::int64_t v = std::strtoll(t.c_str(), &end, 0);
-        if (errno || end == t.c_str() || *end)
-            err("bad integer '" + t + "'");
-        return v;
-    }
-
-    double
-    f64()
-    {
-        const std::string t = word();
-        if (fail)
-            return 0;
-        errno = 0;
-        char *end = nullptr;
-        const double v = std::strtod(t.c_str(), &end);
-        if (errno || end == t.c_str() || *end)
-            err("bad float '" + t + "'");
-        return v;
-    }
-
-    bool
-    b()
-    {
-        const std::uint64_t v = u64();
-        if (!fail && v > 1)
-            err("bad bool");
-        return v == 1;
-    }
-
-    SampleStat
-    stat(const char *name)
-    {
-        expect("stat");
-        expect(name);
-        const std::uint64_t count = u64();
-        const double sum = f64(), mean = f64(), m2 = f64(),
-                     mn = f64(), mx = f64();
-        if (fail)
-            return {};
-        return SampleStat::fromRaw(count, sum, mean, m2, mn, mx);
-    }
-
-    /** Length-prefixed string: "<len> <bytes...>". */
-    std::string
-    lstr()
-    {
-        const std::uint64_t n = u64();
-        if (fail)
-            return {};
-        if (n > (1u << 20)) {
-            err("string too long");
-            return {};
-        }
-        in.get(); // the single separating space
-        std::string s(n, '\0');
-        in.read(s.data(), static_cast<std::streamsize>(n));
-        if (in.gcount() != static_cast<std::streamsize>(n)) {
-            err("truncated string");
-            return {};
-        }
-        return s;
-    }
-};
-
 } // namespace
 
 std::string
@@ -383,7 +261,7 @@ CrystalEntry::deserialize(const std::string &text, CrystalEntry &out,
     if (fnv1a(text.data(), bodyLen) != want)
         return failWith("content checksum mismatch (corrupted)");
 
-    Reader r(text.substr(0, bodyLen));
+    TokenReader r(text.substr(0, bodyLen));
     CrystalEntry e;
 
     r.expect(kMagic);

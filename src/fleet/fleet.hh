@@ -14,8 +14,8 @@
  *
  *  - **Isolation**: a case that kills its worker costs that worker,
  *    not the campaign.  The supervisor reaps the corpse, harvests
- *    the crash forensics (signal record + partial telemetry the
- *    worker's obs failsafe flushed), retries the case once in a
+ *    the crash record the worker's signal handler wrote
+ *    (obs::armCrashSignals), retries the case once in a
  *    fresh worker, and quarantines it as a poison case if it kills
  *    again — then re-queues the dead worker's remaining range, so
  *    throughput degrades gracefully down to a single worker.

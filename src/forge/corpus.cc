@@ -11,6 +11,7 @@
 
 #include "common/hash.hh"
 #include "common/logging.hh"
+#include "common/token_reader.hh"
 #include "crystal/crystal.hh"
 
 namespace jrpm
@@ -22,70 +23,6 @@ namespace
 {
 
 constexpr const char *kMagic = "jrpm-forge";
-
-/** Whitespace-token reader; any misparse (including premature end,
- *  i.e. truncation) latches fail. */
-struct Reader
-{
-    std::istringstream in;
-    bool fail = false;
-    std::string what;
-
-    explicit Reader(const std::string &text) : in(text) {}
-
-    void
-    err(const std::string &msg)
-    {
-        if (!fail)
-            what = msg;
-        fail = true;
-    }
-
-    std::string
-    word()
-    {
-        std::string t;
-        if (fail || !(in >> t))
-            err("unexpected end of entry");
-        return t;
-    }
-
-    void
-    expect(const char *kw)
-    {
-        const std::string t = word();
-        if (!fail && t != kw)
-            err(strfmt("expected '%s', got '%s'", kw, t.c_str()));
-    }
-
-    std::uint64_t
-    u64()
-    {
-        const std::string t = word();
-        if (fail)
-            return 0;
-        errno = 0;
-        char *end = nullptr;
-        const std::uint64_t v = std::strtoull(t.c_str(), &end, 0);
-        if (errno || end == t.c_str() || *end)
-            err("bad integer '" + t + "'");
-        return v;
-    }
-
-    std::int32_t
-    i32()
-    {
-        const std::string t = word();
-        if (fail)
-            return 0;
-        errno = 0;
-        char *end = nullptr;
-        const long v = std::strtol(t.c_str(), &end, 0);
-        if (errno || end == t.c_str() || *end)
-            err("bad integer '" + t + "'");
-        return static_cast<std::int32_t>(v);
-    }
-};
 
 } // namespace
 
@@ -150,7 +87,7 @@ deserializeCorpusEntry(const std::string &text, CorpusEntry &out,
     if (pos == std::string::npos || pos == 0)
         return failWith("missing end checksum");
     {
-        Reader tail(text.substr(pos));
+        TokenReader tail(text.substr(pos));
         tail.expect("check");
         const std::uint64_t stored = tail.u64();
         if (tail.fail)
@@ -159,7 +96,7 @@ deserializeCorpusEntry(const std::string &text, CorpusEntry &out,
             return failWith("content checksum mismatch (corrupted)");
     }
 
-    Reader r(text.substr(0, pos));
+    TokenReader r(text.substr(0, pos));
     r.expect(kMagic);
     const std::string ver = r.word();
     if (!r.fail && ver != strfmt("v%u", kForgeVersion))
@@ -188,10 +125,10 @@ deserializeCorpusEntry(const std::string &text, CorpusEntry &out,
                        axes & ~static_cast<std::uint64_t>(kAllAxes)),
                    kAllAxes));
     r.expect("n");
-    e.spec.n = r.i32();
+    e.spec.n = static_cast<std::int32_t>(r.i64());
     r.expect("init");
     for (std::int32_t &v : e.spec.init)
-        v = r.i32();
+        v = static_cast<std::int32_t>(r.i64());
     r.expect("stmts");
     const std::uint64_t count = r.u64();
     if (r.fail)
@@ -205,7 +142,7 @@ deserializeCorpusEntry(const std::string &text, CorpusEntry &out,
         if (!r.fail && !stmtKindByName(kind, st.kind))
             return failWith("unknown statement kind '" + kind + "'");
         for (std::int32_t &p : st.p)
-            p = r.i32();
+            p = static_cast<std::int32_t>(r.i64());
         if (r.fail)
             return failWith(r.what);
         e.spec.body.push_back(st);

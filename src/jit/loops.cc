@@ -51,14 +51,6 @@ LoopNest::tryById(std::int32_t loop_id) const
     return nullptr;
 }
 
-std::string
-describeLoop(const JitLoop &loop)
-{
-    return strfmt("loop %d (header bc %d, depth %u, %zu bytecodes)",
-                  loop.loopId, loop.header, loop.depth,
-                  loop.body.size());
-}
-
 LoopNest
 findLoops(const BcMethod &m, std::int32_t first_loop_id)
 {

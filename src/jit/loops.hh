@@ -46,10 +46,6 @@ struct LoopNest
     const JitLoop *tryById(std::int32_t loop_id) const;
 };
 
-/** One-line description of a loop for diagnostics, e.g.
- *  "loop 3 (header bc 12, depth 2, 17 bytecodes)". */
-std::string describeLoop(const JitLoop &loop);
-
 /**
  * Find the natural loops of a method.
  * @param method       the bytecode

@@ -104,23 +104,6 @@ TEST(SampleStat, MergeMatchesSingleStream)
     EXPECT_NEAR(whole.variance(), empty.variance(), 1e-12);
 }
 
-TEST(Histogram, BucketsAndOverflow)
-{
-    Histogram h(10.0, 4);
-    h.sample(0.0);
-    h.sample(9.9);
-    h.sample(10.0);
-    h.sample(39.9);
-    h.sample(40.0);  // overflow bucket
-    h.sample(1000.0);
-    const auto &raw = h.raw();
-    EXPECT_EQ(raw[0], 2u);
-    EXPECT_EQ(raw[1], 1u);
-    EXPECT_EQ(raw[3], 1u);
-    EXPECT_EQ(raw[4], 2u);
-    EXPECT_EQ(h.summary().count(), 6u);
-}
-
 TEST(Rng, DeterministicAcrossInstances)
 {
     Rng a(123), b(123);

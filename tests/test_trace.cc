@@ -787,9 +787,8 @@ TEST(HostProf, PipelineAttributionCoversRunWallTime)
 
     Workload w = wl::workloadByName("IDEA");
     w.mainArgs = {300};
-    JrpmConfig cfg;
-    cfg.obs.hostprofEnabled = true;
-    JrpmSystem sys(w, cfg);
+    JrpmSystem sys(w);
+    hostprof::setEnabled(true);
     const auto t0 = std::chrono::steady_clock::now();
     const JrpmReport rep = sys.run();
     const double wall = std::chrono::duration<double>(
@@ -812,6 +811,21 @@ TEST(HostProf, PipelineAttributionCoversRunWallTime)
     // Exclusive times partition the single root exactly; allow 1%
     // for tick-to-seconds rounding per slot.
     EXPECT_NEAR(sumSelf, pipeline, 0.01 * pipeline + 1e-9);
+    hostprof::reset();
+}
+
+TEST(HostProf, RunLeavesTheProcessSwitchAlone)
+{
+    // The profiler switch belongs to the process: a pipeline run
+    // neither turns it on nor off.
+    Workload w = wl::workloadByName("IDEA");
+    w.mainArgs = {300};
+    hostprof::setEnabled(true);
+    JrpmSystem(w).run();
+    EXPECT_TRUE(hostprof::enabled());
+    hostprof::setEnabled(false);
+    JrpmSystem(w).run();
+    EXPECT_FALSE(hostprof::enabled());
     hostprof::reset();
 }
 
@@ -848,7 +862,7 @@ TEST(LogMetrics, ThrottledWarningsExportSuppressionCounts)
 }
 
 // ---------------------------------------------------------------------
-// Failure-path output flush (obs failsafe).
+// The process's one trace/metrics export (obs::flush).
 // ---------------------------------------------------------------------
 
 std::string
@@ -878,8 +892,8 @@ TEST(ObsFailsafe, FlushWritesPartialOutputsOnceThenDisarms)
     std::remove(tpath.c_str());
     std::remove(mpath.c_str());
 
-    obs::setFailsafeOutputs(tpath, mpath);
-    obs::failsafeFlush();
+    obs::setOutputs(tpath, mpath);
+    obs::flush();
 
     JsonValue troot, mroot;
     std::string err;
@@ -891,14 +905,7 @@ TEST(ObsFailsafe, FlushWritesPartialOutputsOnceThenDisarms)
     // A second flush is a no-op: the first one disarmed.
     std::remove(tpath.c_str());
     std::remove(mpath.c_str());
-    obs::failsafeFlush();
-    EXPECT_TRUE(slurp(tpath).empty());
-    EXPECT_TRUE(slurp(mpath).empty());
-
-    // An explicit disarm (the success path) also suppresses output.
-    obs::setFailsafeOutputs(tpath, mpath);
-    obs::disarmFailsafe();
-    obs::failsafeFlush();
+    obs::flush();
     EXPECT_TRUE(slurp(tpath).empty());
     EXPECT_TRUE(slurp(mpath).empty());
 
