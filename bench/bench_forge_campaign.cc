@@ -61,17 +61,16 @@
  *  abort() on that scenario — the poison-case test hook.
  */
 
-#include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <exception>
 
 #include <unistd.h>
 
 #include "bench_util.hh"
 #include "common/logging.hh"
 #include "common/obs.hh"
+#include "driver/driver.hh"
 #include "fleet/fleet.hh"
 #include "fleet/wire.hh"
 #include "forge/campaign.hh"
@@ -308,16 +307,13 @@ workerMain(const Options &opt, const forge::CampaignConfig &cc)
             std::abort();
 
         forge::CaseResult cr;
-        const auto t0 = std::chrono::steady_clock::now();
-        try {
-            ScopedFatalCapture guard;
+        const DriverResult res = runContained([&] {
             cr = forge::runCase(spec, cc.base, cc.forcedSweep);
-        } catch (const std::exception &e) {
-            cr = forge::failedCase(spec, e.what());
-        }
-        cr.wallMs = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
+            return JrpmReport{};
+        });
+        if (!res.ok)
+            cr = forge::failedCase(spec, res.error);
+        cr.wallMs = res.wallMs;
         std::printf("D %016" PRIx64 " %s\n", s,
                     fleet::caseResultJson(cr).c_str());
         std::fflush(stdout);
@@ -341,11 +337,12 @@ workerReplayMain(const Options &opt, const forge::CampaignConfig &cc)
     if (abortSeedHit(e.spec.seed))
         std::abort();
     forge::CaseResult cr;
-    try {
-        ScopedFatalCapture guard;
+    const DriverResult res = runContained([&] {
         cr = forge::runCase(e.spec, cc.base, cc.forcedSweep);
-    } catch (const std::exception &ex) {
-        std::fprintf(stderr, "worker-replay: %s\n", ex.what());
+        return JrpmReport{};
+    });
+    if (!res.ok) {
+        std::fprintf(stderr, "worker-replay: %s\n", res.error.c_str());
         return 2;
     }
     return cr.failing(!cc.base.faultPlan.empty()) ? 2 : 0;
@@ -389,6 +386,9 @@ forge::CampaignResult
 runFleetCampaign(const Options &opt, const forge::CampaignConfig &cc,
                  const char *argv0)
 {
+    if (opt.hostprof)
+        fatal("--fleet cannot take --hostprof: the host profiler is "
+              "per process, and fleet cases run in worker processes");
     if (opt.manifest.empty())
         fatal("--fleet needs --manifest=<path> (the journal that "
               "makes the campaign resumable)");

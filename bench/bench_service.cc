@@ -322,7 +322,7 @@ runLoad(const LoadOptions &opt)
     }
 
     const svc::ServiceCounters sc = srv.counters();
-    const svc::SchedulerStats ss = srv.schedulerStats();
+    const PoolStats ss = srv.schedulerStats();
     srv.shutdown();
     srv.join();
 
@@ -333,9 +333,9 @@ runLoad(const LoadOptions &opt)
         1000.0 * static_cast<double>(sum.results) / wallMs;
     inform("bench_service: %" PRIu64 " results (%.1f/s), "
            "p50 %.1fms p99 %.1fms p999 %.1fms, queue p50 %.1fms, "
-           "%" PRIu64 " busy, %" PRIu64 " steals",
+           "%" PRIu64 " busy",
            sum.results, throughput, lat.p50, lat.p99, lat.p999, q.p50,
-           sum.busy, ss.steals);
+           sum.busy);
 
     struct Check
     {

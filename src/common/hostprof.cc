@@ -46,11 +46,6 @@ const char *const kNames[kNumSlots] = {
     "metrics_publish",// MetricsPublish
     "sig_check",      // SigCheck
     "spec_fast_retire", // SpecFastRetire
-    "svc_accept",     // SvcAccept
-    "svc_parse",      // SvcParse
-    "svc_schedule",   // SvcSchedule
-    "svc_run",        // SvcRun
-    "svc_reply",      // SvcReply
 };
 
 // Declared display hierarchy (see slotParent doc in the header).
@@ -74,14 +69,6 @@ const int kParents[kNumSlots] = {
     static_cast<int>(HostSlot::Pipeline),     // MetricsPublish
     static_cast<int>(HostSlot::StepExact),    // SigCheck
     static_cast<int>(HostSlot::SpecDispatch), // SpecFastRetire
-    // The service slots are display roots: accept/parse/schedule/
-    // reply run on the event thread, svc_run on pool workers (the
-    // whole Pipeline hierarchy nests under it dynamically).
-    -1,                                       // SvcAccept
-    -1,                                       // SvcParse
-    -1,                                       // SvcSchedule
-    -1,                                       // SvcRun
-    -1,                                       // SvcReply
 };
 
 } // namespace

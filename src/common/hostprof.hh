@@ -56,15 +56,9 @@ enum class HostSlot : std::uint8_t
     MetricsPublish,///< metrics/trace publication
     SigCheck,      ///< write/read-set signature membership probes
     SpecFastRetire,///< speculative memory ops retired in-window
-    // Jrpm-as-a-service request path (src/service/).
-    SvcAccept,     ///< accepting connections / socket reads
-    SvcParse,      ///< frame extraction + request decode
-    SvcSchedule,   ///< admission + work-stealing pool handoff
-    SvcRun,        ///< worker-side request execution (pipeline)
-    SvcReply,      ///< response serialization + socket writes
 };
 
-inline constexpr std::size_t kNumSlots = 24;
+inline constexpr std::size_t kNumSlots = 19;
 
 /** Short stable name for a slot ("machine_run", "dep_check", ...). */
 const char *slotName(std::size_t slot);

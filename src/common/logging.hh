@@ -30,12 +30,12 @@ class FatalError : public std::runtime_error
 
 /**
  * While an instance is alive on a thread, fatal() on that thread
- * throws FatalError instead of exiting the process.  The batch
- * driver arms one around each job so a single case that hits a
- * fatal() path (a --warm=warm repository miss, an unsupported
- * config) becomes a per-case error result instead of aborting the
- * whole batch.  Nestable; panic() is unaffected — a broken internal
- * invariant still aborts.
+ * throws FatalError instead of exiting the process.
+ * runContained() (driver/driver.hh) arms one around each host job so
+ * a single case that hits a fatal() path (a --warm=warm repository
+ * miss, an unsupported config) becomes a per-case error result
+ * instead of aborting the whole batch.  Nestable; panic() is
+ * unaffected — a broken internal invariant still aborts.
  */
 class ScopedFatalCapture
 {

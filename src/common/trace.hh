@@ -132,6 +132,9 @@ class Trace
   public:
     /** Track id for software-side (non-CPU) events. */
     static constexpr std::uint8_t kHostTrack = 0xff;
+    /** Bound on a violation ledger's entries (this one and each
+     *  Machine's own). */
+    static constexpr std::size_t kMaxLedger = 4096;
 
     static Trace &
     global()
@@ -267,8 +270,6 @@ class Trace
     std::vector<std::pair<Cycle, std::string>> phaseMarks;
     std::vector<ViolationRecord> ledger;
     std::uint64_t ledgerDropped = 0;
-
-    static constexpr std::size_t kMaxLedger = 4096;
 };
 
 } // namespace jrpm

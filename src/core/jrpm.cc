@@ -86,6 +86,7 @@ RunDigest::of(const RunOutcome &o)
     d.output = o.vm.output;
     d.memChecksum = o.memChecksum;
     d.memImage = o.memImage;
+    d.violations = o.violations;
     return d;
 }
 
@@ -138,9 +139,11 @@ JrpmSystem::runOn(Machine &m, const std::vector<Word> &args)
         const auto skip =
             VmRuntime::scratchRegions(vmCfg, cfg.sys.numCpus);
         out.memChecksum = m.memoryChecksum(skip);
-        if (cfg.oracle.mode == OracleMode::Strict)
+        if (cfg.oracle.mode == OracleMode::Strict) {
             out.memImage =
                 std::make_shared<const MemImage>(m.memorySnapshot());
+            out.violations = m.violations();
+        }
     }
     {
         JRPM_HPROF(MetricsPublish);
@@ -482,6 +485,10 @@ JrpmSystem::runPipeline()
     // demote warm entries that failed to deliver.
     if (repo) {
         if (rep.warmStart) {
+            // Demote a warm entry whose actual TLS speedup falls
+            // below this fraction of a stored prediction that
+            // promised a real speedup.
+            constexpr double kDemoteRatio = 0.5;
             bool demote = false;
             if (!rep.outputsMatch || rep.tls.watchdogFired) {
                 demote = true;
@@ -489,7 +496,7 @@ JrpmSystem::runPipeline()
                      "crystal entry", load.name.c_str());
             } else if (entry.predictedSpeedup > 1.0 &&
                        rep.actualSpeedup <
-                           cfg.crystal.demoteRatio *
+                           kDemoteRatio *
                                entry.predictedSpeedup) {
                 demote = true;
                 warn("%s: actual TLS speedup %.2f far below stored "
@@ -520,9 +527,7 @@ JrpmSystem::runPipeline()
             fresh.profilingCycles = rep.profiled.cycles;
             fresh.profiles = rep.profiles;
             fresh.selections = rep.selections;
-            if (fresh.predictedSpeedup >=
-                cfg.crystal.admitMinPredicted)
-                repo->store(fresh);
+            repo->store(fresh);
         }
     }
 

@@ -62,19 +62,6 @@ struct CrystalRunConfig
     /** Borrowed, shared, thread-safe; nullptr disables crystal. */
     CrystalRepo *repo = nullptr;
     WarmMode warm = WarmMode::Auto;
-    /** Demote a warm entry when the actual TLS speedup falls below
-     *  this fraction of the stored prediction (and the prediction
-     *  promised a real speedup). */
-    double demoteRatio = 0.5;
-    /**
-     * Admission policy for crystallizing fresh entries: only store
-     * decompositions whose predicted whole-program speedup reaches
-     * this bound.  The service sets it slightly above 1.0 on a
-     * capacity-limited cache so entries that only reproduce the
-     * sequential baseline don't evict entries that actually pay for
-     * the warm start.  0 (default) admits everything.
-     */
-    double admitMinPredicted = 0.0;
 };
 
 /** Full configuration of a Jrpm instance. */
@@ -120,6 +107,9 @@ struct RunOutcome
     /** Oracle capture (zero / null when the oracle is off). */
     std::uint64_t memChecksum = 0;
     std::shared_ptr<const MemImage> memImage; ///< Strict mode only
+    /** The run's own violation ledger (Strict mode only): what the
+     *  oracle blames a divergence on. */
+    std::vector<ViolationRecord> violations;
     bool watchdogFired = false;
     std::uint32_t faultsInjected = 0;
 };

@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "common/logging.hh"
-#include "common/trace.hh"
 
 namespace jrpm
 {
@@ -33,14 +32,16 @@ inSkip(Addr at,
     return false;
 }
 
-/** Attribute the first divergence to the STL whose recorded RAW
- *  squashes touched the same 32-byte line — the prime suspect for a
- *  recovery-path bug or an undetected (suppressed) violation. */
+/** Attribute the first divergence to the STL whose RAW squashes in
+ *  the run under test touched the same 32-byte line — the prime
+ *  suspect for a recovery-path bug or an undetected (suppressed)
+ *  violation. */
 void
-attribute(OracleReport &rep, Addr first_diff)
+attribute(OracleReport &rep, const std::vector<ViolationRecord> &ledger,
+          Addr first_diff)
 {
     const Addr line = first_diff & ~31u;
-    for (const ViolationRecord &v : Trace::global().violations()) {
+    for (const ViolationRecord &v : ledger) {
         if ((v.addr & ~31u) == line) {
             rep.suspectLoop = v.loopId;
             rep.suspectSite = v.storeSite;
@@ -110,7 +111,8 @@ Oracle::compare(const OracleConfig &cfg, const RunDigest &golden,
         if (rep.diffBytes)
             rep.memMatch = false;
         if (!rep.firstDiffs.empty())
-            attribute(rep, rep.firstDiffs.front().addr);
+            attribute(rep, actual.violations,
+                      rep.firstDiffs.front().addr);
     }
     return rep;
 }

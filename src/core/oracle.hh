@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/trace.hh"
 #include "common/types.hh"
 #include "memory/main_memory.hh"
 
@@ -58,6 +59,8 @@ struct RunDigest
     std::uint64_t memChecksum = 0;
     /** Written pages; only captured in Strict mode. */
     std::shared_ptr<const MemImage> memImage;
+    /** The run's squashes; only captured in Strict mode. */
+    std::vector<ViolationRecord> violations;
 
     /** The oracle's view of one machine run. */
     static RunDigest of(const RunOutcome &o);
@@ -85,8 +88,9 @@ struct OracleReport
     std::uint64_t diffBytes = 0;     ///< total divergent bytes
     std::vector<MemDivergence> firstDiffs;
 
-    /** Attribution: the STL whose violation ledger entries touch the
-     *  cache line of the first divergent byte, or -1 if none. */
+    /** Attribution: the STL whose entries in the TLS run's own
+     *  violation ledger touch the cache line of the first divergent
+     *  byte, or -1 if none. */
     std::int32_t suspectLoop = -1;
     std::uint32_t suspectSite = 0;
 

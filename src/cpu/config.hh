@@ -124,9 +124,6 @@ struct SystemConfig
     HandlerCosts handlers;
     WatchdogConfig watchdog;
     GovernorConfig governor;
-
-    /** Cycles charged per runtime trap before its memory traffic. */
-    std::uint32_t trapBaseCycles = 10;
 };
 
 } // namespace jrpm

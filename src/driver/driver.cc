@@ -6,7 +6,7 @@
 
 #include "common/logging.hh"
 #include "common/metrics.hh"
-#include "service/scheduler.hh"
+#include "driver/pool.hh"
 
 namespace jrpm
 {
@@ -35,6 +35,30 @@ summarizePercentiles(std::vector<double> samples)
     s.p99 = rank(0.99);
     s.p999 = rank(0.999);
     return s;
+}
+
+DriverResult
+runContained(const std::function<JrpmReport()> &body)
+{
+    DriverResult res;
+    const auto t0 = std::chrono::steady_clock::now();
+    try {
+        // Contain fatal() too: one job hitting a fatal path (a
+        // warm-miss under --warm=warm, an unsupported config) must
+        // become that job's error, not exit the process under every
+        // sibling.
+        ScopedFatalCapture capture;
+        res.report = body();
+        res.ok = true;
+    } catch (const std::exception &e) {
+        res.error = e.what();
+    } catch (...) {
+        res.error = "unknown exception";
+    }
+    res.wallMs = std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - t0)
+                     .count();
+    return res;
 }
 
 BatchDriver::BatchDriver(DriverConfig config) : cfg(std::move(config))
@@ -80,39 +104,21 @@ BatchDriver::run(std::vector<DriverJob> jobs)
         if (cfg.progress)
             inform("driver: job %zu/%zu: %s", i + 1, n,
                    job.workload.name.c_str());
-        const auto t0 = std::chrono::steady_clock::now();
-        try {
-            // Contain fatal() too: a single case hitting a
-            // fatal path (warm-miss under --warm=warm, an
-            // unsupported config) must become a per-case error,
-            // not exit the process under every sibling.
-            ScopedFatalCapture capture;
-            if (job.custom) {
-                res.report = job.custom();
-            } else {
-                JrpmSystem sys(job.workload, job.cfg);
-                res.report = sys.run();
-            }
-            res.ok = true;
-        } catch (const std::exception &e) {
-            res.error = e.what();
-        } catch (...) {
-            res.error = "unknown exception";
-        }
-        res.wallMs = std::chrono::duration<double, std::milli>(
-                         std::chrono::steady_clock::now() - t0)
-                         .count();
+        res = job.custom ? runContained(job.custom)
+                         : runContained([&job] {
+                               return JrpmSystem(job.workload, job.cfg)
+                                   .run();
+                           });
         if (!res.ok)
             warn("driver: job %zu (%s) failed: %s", i + 1,
                  job.workload.name.c_str(), res.error.c_str());
     };
 
-    // The batch API is a thin client of the work-stealing scheduler:
-    // each case is one pool task writing its own input-indexed
+    // Each case is one pool task writing its own input-indexed
     // result slot, so the output bytes are independent of the worker
-    // count and of the steal order.
+    // count.
     {
-        svc::WorkStealingPool pool(workers);
+        JobPool pool(workers);
         for (std::size_t i = 0; i < n; ++i)
             pool.submit([&runCase, i] { runCase(i); });
         pool.drain();

@@ -7,12 +7,14 @@
  * one JIT — so jobs share no mutable state beyond the thread-safe
  * process-wide observability singletons (Trace, MetricsRegistry, the
  * log throttle) and, optionally, one crystal repository that
- * warm-starts repeat workloads.  The driver is a thin batch client
- * of the service layer's work-stealing scheduler
- * (service/scheduler.hh): every job becomes one pool task that
- * writes its own input-indexed result slot, so a batch's reports are
- * byte-identical whether it ran with one worker or sixteen and
- * whatever the steal order was.
+ * warm-starts repeat workloads.  Every job becomes one task of the
+ * FIFO job pool (driver/pool.hh) and writes its own input-indexed
+ * result slot, so a batch's reports are byte-identical whether it
+ * ran with one worker or sixteen.
+ *
+ * runContained() is the one place a host job is contained: the batch
+ * driver, the service's request run and both fleet-worker modes call
+ * it, so a fatal() or an exception fails that job, not the process.
  *
  * Cancellation: a batch can carry a CancelToken; it is polled at
  * batch-case boundaries, so cancelling (or an expired deadline)
@@ -94,6 +96,14 @@ struct PercentileSummary
 
 /** Summarize @p samples (consumed: sorted in place). */
 PercentileSummary summarizePercentiles(std::vector<double> samples);
+
+/**
+ * Run one host job contained: fatal() inside @p body throws instead
+ * of exiting (ScopedFatalCapture), and any exception it throws
+ * becomes the result's error text.  Always fills wallMs with the
+ * host wall-clock time of the body.
+ */
+DriverResult runContained(const std::function<JrpmReport()> &body);
 
 /** The batch driver (see file header). */
 class BatchDriver

@@ -34,6 +34,9 @@ namespace
 
 using Clock = std::chrono::steady_clock;
 
+/** Milliseconds before relaunching a crashed case. */
+constexpr std::uint32_t kRetryBackoffMs = 200;
+
 /** A contiguous seed range still to run.  `attempt` > 0 marks a
  *  crash retry (always a single seed); chaos never targets those. */
 struct WorkItem
@@ -249,10 +252,12 @@ runFleet(const FleetConfig &cfg)
 
     const std::uint32_t maxWorkers = std::max(1u, cfg.workers);
     std::vector<Worker> live;
-    Rng chaosRng(cfg.chaosSeed);
+    Rng chaosRng(0xc4a05); // fixed: the same victim sequence each run
     auto chaosNext =
         Clock::now() + std::chrono::milliseconds(
                            cfg.chaosKillMs ? cfg.chaosKillMs : 1);
+    // Completed cases between manifest checkpoints.
+    constexpr std::uint32_t kCheckpointEvery = 32;
     std::uint32_t sinceCheckpoint = 0;
 
     auto spawn = [&](const WorkItem &item) {
@@ -275,7 +280,7 @@ runFleet(const FleetConfig &cfg)
 
     auto recordCase = [&](const forge::CaseResult &cr) {
         manifest.recordCase(cr);
-        if (++sinceCheckpoint >= cfg.checkpointEvery) {
+        if (++sinceCheckpoint >= kCheckpointEvery) {
             manifest.checkpoint();
             sinceCheckpoint = 0;
         }
@@ -316,7 +321,7 @@ runFleet(const FleetConfig &cfg)
                 WorkItem retry{s, s + 1, w.item.attempt + 1,
                                Clock::now() +
                                    std::chrono::milliseconds(
-                                       cfg.retryBackoffMs)};
+                                       kRetryBackoffMs)};
                 pending.push_front(retry);
                 ++tallies.retries;
             }
@@ -332,10 +337,7 @@ runFleet(const FleetConfig &cfg)
                      std::chrono::milliseconds(cfg.caseTimeoutMs);
         std::istringstream in(line);
         std::string tag, seedtok;
-        in >> tag;
-        if (tag == "H")
-            return; // heartbeat: deadline refreshed above
-        in >> seedtok;
+        in >> tag >> seedtok;
         const std::uint64_t seed =
             std::strtoull(seedtok.c_str(), nullptr, 16);
         if (tag == "S") {
@@ -402,7 +404,7 @@ runFleet(const FleetConfig &cfg)
         if (live.empty()) {
             // Only backed-off retries remain; sleep the shortest
             // backoff out instead of spinning.
-            ::usleep(1000u * cfg.retryBackoffMs);
+            ::usleep(1000u * kRetryBackoffMs);
             continue;
         }
 

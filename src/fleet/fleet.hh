@@ -60,11 +60,6 @@ struct FleetConfig
      *  (0 = off).  Workers re-running a case after a death are
      *  exempt, so chaos alone never quarantines a healthy seed. */
     std::uint32_t chaosKillMs = 0;
-    std::uint64_t chaosSeed = 0xc4a05;
-    /** Completed cases between manifest checkpoints. */
-    std::uint32_t checkpointEvery = 32;
-    /** Milliseconds before relaunching a crashed case. */
-    std::uint32_t retryBackoffMs = 200;
     /** Campaign manifest path (required). */
     std::string manifestPath;
     /** Crash records, partial telemetry and shrink scratch space;

@@ -22,9 +22,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include "common/hostprof.hh"
 #include "common/logging.hh"
 #include "core/report_json.hh"
+#include "driver/driver.hh"
 #include "forge/forge.hh"
 #include "workloads/workloads.hh"
 
@@ -85,14 +85,15 @@ struct Conn
 struct JrpmService::Impl
 {
     ServiceConfig cfg;
-    WarmCache cache;
+    /** The warm cache, or nullptr without a cache directory. */
+    std::unique_ptr<CrystalRepo> repo;
 
     int listenFd = -1;
     std::uint16_t boundPort = 0;
     int wakeRead = -1;  ///< self-pipe: workers poke the event loop
     int wakeWrite = -1;
 
-    std::unique_ptr<WorkStealingPool> pool;
+    std::unique_ptr<JobPool> pool;
     std::thread eventThread;
     std::atomic<bool> started{false};
     std::atomic<bool> live{false};
@@ -115,9 +116,12 @@ struct JrpmService::Impl
 
     std::chrono::steady_clock::time_point startedAt;
 
-    explicit Impl(ServiceConfig config)
-        : cfg(std::move(config)), cache(cfg.cache)
+    explicit Impl(ServiceConfig config) : cfg(std::move(config))
     {
+        if (!cfg.cache.dir.empty()) {
+            repo = std::make_unique<CrystalRepo>(cfg.cache.dir);
+            repo->setCapacity(cfg.cache.capacity);
+        }
         for (const Workload &w : wl::allWorkloads())
             knownWorkloads.push_back(w.name);
     }
@@ -197,7 +201,7 @@ struct JrpmService::Impl
         wakeWrite = pipefd[1];
         setNonBlocking(wakeRead);
 
-        pool = std::make_unique<WorkStealingPool>(
+        pool = std::make_unique<JobPool>(
             std::max<std::uint32_t>(1, cfg.workers));
         startedAt = std::chrono::steady_clock::now();
         started.store(true);
@@ -243,20 +247,16 @@ struct JrpmService::Impl
         std::vector<int> dead;
         for (;;) {
             // Drain worker completions onto their connections.
+            std::deque<std::pair<std::uint64_t, std::string>> done;
             {
-                JRPM_HPROF(SvcReply);
-                std::deque<std::pair<std::uint64_t, std::string>>
-                    done;
-                {
-                    std::lock_guard<std::mutex> lk(mu);
-                    done.swap(completions);
-                }
-                for (auto &c : done) {
-                    Conn *conn = connByIdFd(c.first);
-                    if (!conn)
-                        continue; // client hung up; drop the frame
-                    conn->outbuf += frameEncode(c.second);
-                }
+                std::lock_guard<std::mutex> lk(mu);
+                done.swap(completions);
+            }
+            for (auto &c : done) {
+                Conn *conn = connByIdFd(c.first);
+                if (!conn)
+                    continue; // client hung up; drop the frame
+                conn->outbuf += frameEncode(c.second);
             }
 
             const bool drain = draining.load();
@@ -336,8 +336,6 @@ struct JrpmService::Impl
             for (int fd : dead)
                 closeConn(fd);
             dead.clear();
-
-            hostprof::flushThread();
         }
 
         // Shutdown: flush remaining bytes best-effort, then close.
@@ -349,7 +347,6 @@ struct JrpmService::Impl
             std::lock_guard<std::mutex> lk(mu);
             ctr.connectionsOpen = 0;
         }
-        hostprof::flushThread();
         live.store(false);
     }
 
@@ -357,12 +354,13 @@ struct JrpmService::Impl
     acceptAll(std::unordered_map<int, Conn> &conns,
               std::uint64_t &nextConnId)
     {
-        JRPM_HPROF(SvcAccept);
+        // Max concurrent connections; accepts beyond this are closed.
+        constexpr std::size_t kMaxConns = 1024;
         for (;;) {
             const int fd = ::accept(listenFd, nullptr, nullptr);
             if (fd < 0)
                 return; // EAGAIN / transient
-            if (conns.size() >= cfg.maxConns) {
+            if (conns.size() >= kMaxConns) {
                 ::close(fd);
                 continue;
             }
@@ -385,27 +383,21 @@ struct JrpmService::Impl
     bool
     readConn(Conn &conn)
     {
-        {
-            JRPM_HPROF(SvcAccept);
-            char buf[16384];
-            for (;;) {
-                const ssize_t n =
-                    ::recv(conn.fd, buf, sizeof buf, 0);
-                if (n == 0)
-                    return false; // peer closed
-                if (n < 0) {
-                    if (errno == EAGAIN || errno == EWOULDBLOCK)
-                        break;
-                    if (errno == EINTR)
-                        continue;
-                    return false;
-                }
-                conn.reader.feed(buf,
-                                 static_cast<std::size_t>(n));
+        char buf[16384];
+        for (;;) {
+            const ssize_t n = ::recv(conn.fd, buf, sizeof buf, 0);
+            if (n == 0)
+                return false; // peer closed
+            if (n < 0) {
+                if (errno == EAGAIN || errno == EWOULDBLOCK)
+                    break;
+                if (errno == EINTR)
+                    continue;
+                return false;
             }
+            conn.reader.feed(buf, static_cast<std::size_t>(n));
         }
 
-        JRPM_HPROF(SvcParse);
         std::string payload;
         while (conn.reader.next(payload))
             handleFrame(conn, payload);
@@ -424,7 +416,6 @@ struct JrpmService::Impl
     bool
     writeConn(Conn &conn)
     {
-        JRPM_HPROF(SvcReply);
         while (conn.outOff < conn.outbuf.size()) {
             const ssize_t n = ::send(
                 conn.fd, conn.outbuf.data() + conn.outOff,
@@ -499,7 +490,6 @@ struct JrpmService::Impl
     void
     handleSubmit(Conn &conn, const Request &req)
     {
-        JRPM_HPROF(SvcSchedule);
         if (draining.load()) {
             std::lock_guard<std::mutex> lk(mu);
             ctr.rejectedShutdown++;
@@ -621,7 +611,7 @@ struct JrpmService::Impl
     std::string
     statsResponse(std::uint64_t id)
     {
-        const SchedulerStats ss = pool->stats();
+        const PoolStats ss = pool->stats();
         ServiceCounters c;
         {
             std::lock_guard<std::mutex> lk(mu);
@@ -641,11 +631,26 @@ struct JrpmService::Impl
         w.field("cancelled", c.cancelled);
         w.field("pipelineErrors", c.pipelineErrors).endObject();
         w.key("scheduler").beginObject().field("submitted", ss.submitted);
-        w.field("executed", ss.executed).field("steals", ss.steals);
+        w.field("executed", ss.executed);
         w.field("taskFaults", ss.taskFaults).field("queued", ss.queued);
         w.field("inflight", ss.inflight).endObject();
-        cache.statsJson(w.key("cache"));
-        return w.endObject().take();
+        w.key("cache").beginObject().field("enabled", repo != nullptr);
+        if (repo) {
+            const CrystalStats s = repo->stats();
+            const std::uint64_t lookups = s.hits + s.misses;
+            w.field("capacity", cfg.cache.capacity);
+            w.field("entries", repo->size());
+            w.field("hits", s.hits).field("misses", s.misses);
+            w.key("hitRate").fixed(
+                lookups ? static_cast<double>(s.hits) /
+                              static_cast<double>(lookups)
+                        : 0.0,
+                4);
+            w.field("stores", s.stores);
+            w.field("invalidations", s.invalidations);
+            w.field("rejects", s.rejects).field("evictions", s.evictions);
+        }
+        return w.endObject().endObject().take();
     }
 
     // ---- worker side --------------------------------------------------
@@ -660,68 +665,62 @@ struct JrpmService::Impl
 
         std::string frame;
         bool wasCancel = false, wasError = false;
-        {
-            JRPM_HPROF(SvcRun);
-            if (state.token.stopRequested()) {
-                const bool dl = state.token.expired();
-                wasCancel = true;
-                frame = errorResponseJson(
-                    req.id,
-                    dl ? code::kDeadline : code::kCancelled,
-                    dl ? "deadline expired before start"
-                       : "cancelled before start");
-            } else if (req.debugSleepMs) {
-                // Load-test stub: hold this worker without running
-                // a pipeline (deterministic backpressure tests).
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(req.debugSleepMs));
-                frame = okResponse(req.id)
-                            .field("sleptMs", req.debugSleepMs)
-                            .key("queueMs")
-                            .fixed(queueMs, 3)
-                            .endObject()
-                            .take();
-            } else {
-                try {
-                    ScopedFatalCapture capture;
-                    Workload w =
-                        req.haveSeed
-                            ? forge::scenarioWorkload(
-                                  forge::generate(req.seed,
-                                                  req.axes))
-                            : wl::workloadByName(req.workload);
-                    if (cfg.quick && !w.profileArgs.empty()) {
-                        w.mainArgs = w.profileArgs;
-                        w.profileArgs.clear();
-                    }
-                    JrpmConfig jc = cfg.base;
-                    jc.cancel = state.token;
-                    cache.applyTo(jc, req.warm);
-                    JrpmSystem sys(std::move(w), jc);
-                    const JrpmReport rep = sys.run();
-                    frame = resultResponseJson(req.id,
-                                               reportJson(rep),
-                                               queueMs,
-                                               msSince(runT0));
-                } catch (const std::exception &e) {
-                    if (state.token.stopRequested()) {
-                        wasCancel = true;
-                        frame = errorResponseJson(
-                            req.id,
-                            state.token.expired()
-                                ? code::kDeadline
-                                : code::kCancelled,
-                            e.what());
-                    } else {
-                        wasError = true;
-                        frame = errorResponseJson(
-                            req.id, code::kError, e.what());
-                    }
-                } catch (...) {
-                    wasError = true;
-                    frame = errorResponseJson(req.id, code::kError,
-                                              "unknown exception");
+        if (state.token.stopRequested()) {
+            const bool dl = state.token.expired();
+            wasCancel = true;
+            frame = errorResponseJson(
+                req.id, dl ? code::kDeadline : code::kCancelled,
+                dl ? "deadline expired before start"
+                   : "cancelled before start");
+        } else if (req.debugSleepMs) {
+            // Load-test stub: hold this worker without running a
+            // pipeline (deterministic backpressure tests).
+            std::this_thread::sleep_for(
+                std::chrono::milliseconds(req.debugSleepMs));
+            frame = okResponse(req.id)
+                        .field("sleptMs", req.debugSleepMs)
+                        .key("queueMs")
+                        .fixed(queueMs, 3)
+                        .endObject()
+                        .take();
+        } else {
+            // Everything that can throw runs contained, so every
+            // admitted request gets exactly one reply frame.
+            const DriverResult res = runContained([&] {
+                Workload w =
+                    req.haveSeed
+                        ? forge::scenarioWorkload(
+                              forge::generate(req.seed, req.axes))
+                        : wl::workloadByName(req.workload);
+                if (cfg.quick && !w.profileArgs.empty()) {
+                    w.mainArgs = w.profileArgs;
+                    w.profileArgs.clear();
                 }
+                JrpmConfig jc = cfg.base;
+                jc.cancel = state.token;
+                if (repo) {
+                    jc.crystal.repo = repo.get();
+                    jc.crystal.warm = req.warm.empty()
+                                          ? WarmMode::Auto
+                                          : parseWarmMode(req.warm);
+                }
+                JrpmSystem sys(std::move(w), jc);
+                const JrpmReport rep = sys.run();
+                frame = resultResponseJson(req.id, reportJson(rep),
+                                           queueMs, msSince(runT0));
+                return JrpmReport{};
+            });
+            if (!res.ok && state.token.stopRequested()) {
+                wasCancel = true;
+                frame = errorResponseJson(req.id,
+                                          state.token.expired()
+                                              ? code::kDeadline
+                                              : code::kCancelled,
+                                          res.error);
+            } else if (!res.ok) {
+                wasError = true;
+                frame = errorResponseJson(req.id, code::kError,
+                                          res.error);
             }
         }
 
@@ -739,7 +738,6 @@ struct JrpmService::Impl
             completions.emplace_back(state.connId,
                                      std::move(frame));
         }
-        hostprof::flushThread();
         wake();
     }
 };
@@ -792,16 +790,16 @@ JrpmService::counters() const
     return impl->ctr;
 }
 
-SchedulerStats
+PoolStats
 JrpmService::schedulerStats() const
 {
-    return impl->pool ? impl->pool->stats() : SchedulerStats{};
+    return impl->pool ? impl->pool->stats() : PoolStats{};
 }
 
 CrystalRepo *
 JrpmService::repo()
 {
-    return impl->cache.repo();
+    return impl->repo.get();
 }
 
 } // namespace svc

@@ -7,12 +7,20 @@
  * Architecture: one poll(2)-driven event thread owns every socket —
  * it accepts connections, extracts frames, decodes requests, answers
  * the cheap kinds (status/cancel/stats/shutdown) inline and hands
- * submissions to the work-stealing pool (scheduler.hh).  Pool
- * workers run the pipeline, serialize the result frame and push it
- * onto a completion queue; a self-pipe wakes the event thread to
- * flush completions onto their connections.  No socket is ever
+ * submissions to the FIFO job pool (driver/pool.hh).  Pool workers
+ * run the pipeline under runContained() (driver/driver.hh),
+ * serialize the result frame and push it onto a completion queue; a
+ * self-pipe wakes the event thread to flush completions onto their
+ * connections.  No socket is ever
  * touched off the event thread, so there are no per-connection
  * locks.
+ *
+ * Warm cache: with a cache directory the server owns one crystal
+ * repository, bounded to `capacity` entries (LRU by file mtime, a
+ * lookup hit refreshes the mtime), and attaches it to every
+ * submission with the request's warm mode (auto when it names none).
+ * Repeat submissions of the same program and config skip profiling
+ * and analysis.
  *
  * Backpressure: submissions are admitted only while
  * (queued + running) < admissionCap; beyond that the server answers
@@ -39,14 +47,23 @@
 #include <string>
 
 #include "core/jrpm.hh"
-#include "service/cache.hh"
+#include "crystal/crystal.hh"
+#include "driver/pool.hh"
 #include "service/protocol.hh"
-#include "service/scheduler.hh"
 
 namespace jrpm
 {
 namespace svc
 {
+
+/** The warm cache's repository (see file header). */
+struct CacheConfig
+{
+    /** Repository directory; empty disables the cache. */
+    std::string dir;
+    /** Max entries on disk (0 = unbounded). */
+    std::size_t capacity = 256;
+};
 
 /** Server geometry and policy. */
 struct ServiceConfig
@@ -54,15 +71,13 @@ struct ServiceConfig
     /** TCP port on 127.0.0.1; 0 picks an ephemeral port (see
      *  JrpmService::port() after start()). */
     std::uint16_t port = 0;
-    /** Work-stealing pool width. */
+    /** Job pool width. */
     std::uint32_t workers = 4;
     /** Max submissions queued + running before "busy" rejects. */
     std::uint32_t admissionCap = 64;
-    /** Max concurrent connections; accepts beyond this are closed. */
-    std::uint32_t maxConns = 1024;
     /** Per-frame payload cap. */
     std::size_t maxFrame = kDefaultMaxFrame;
-    /** Warm cache (crystal repository) policy. */
+    /** Warm cache (crystal repository). */
     CacheConfig cache;
     /** Base pipeline config applied to every submission. */
     JrpmConfig base;
@@ -112,7 +127,7 @@ class JrpmService
     bool running() const;
 
     ServiceCounters counters() const;
-    SchedulerStats schedulerStats() const;
+    PoolStats schedulerStats() const;
     /** The warm cache's repository, or nullptr. */
     CrystalRepo *repo();
 

@@ -1911,16 +1911,18 @@ Machine::violate(Core &victim, Addr addr, std::uint32_t site,
             ++ls.violationsByClass[static_cast<std::size_t>(
                 classifyAddr(addr))];
     }
+    ViolationRecord rec;
+    rec.cycle = cycle;
+    rec.addr = addr;
+    rec.storeSite = site;
+    rec.loopId = stlLoopId;
+    rec.storeCpu = static_cast<std::uint8_t>(store_cpu);
+    rec.victimCpu = static_cast<std::uint8_t>(victim.id);
+    rec.victimIteration = victim.iteration;
+    rec.victimProgress = cycle - victim.threadStart;
+    if (ledger.size() < Trace::kMaxLedger)
+        ledger.push_back(rec);
     if (JRPM_TRACE_ON()) {
-        ViolationRecord rec;
-        rec.cycle = cycle;
-        rec.addr = addr;
-        rec.storeSite = site;
-        rec.loopId = stlLoopId;
-        rec.storeCpu = static_cast<std::uint8_t>(store_cpu);
-        rec.victimCpu = static_cast<std::uint8_t>(victim.id);
-        rec.victimIteration = victim.iteration;
-        rec.victimProgress = cycle - victim.threadStart;
         Trace::global().recordViolation(rec);
         JRPM_TRACE(static_cast<std::uint8_t>(victim.id),
                    TraceEvt::ThreadViolated, cycle, stlLoopId, addr,

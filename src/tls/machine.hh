@@ -132,6 +132,13 @@ class Machine
     {
         return mem.checksum(skip);
     }
+    /** This run's squashes, oldest first, up to Trace::kMaxLedger:
+     *  what the oracle blames a divergence on.  Kept whether or not
+     *  the flight recorder is on. */
+    const std::vector<ViolationRecord> &violations() const
+    {
+        return ledger;
+    }
 
     const ExecStats &stats() const { return execStats; }
     ExecStats &stats() { return execStats; }
@@ -258,6 +265,8 @@ class Machine
 
     ExecStats execStats;
     StlStatsMap stlRuntime;
+    /** This run's violation ledger (see violations()). */
+    std::vector<ViolationRecord> ledger;
 
     /** Cached &stlRuntime[stlLoopId] so per-window telemetry avoids a
      *  map lookup; kept in sync wherever stlLoopId changes.  Map nodes

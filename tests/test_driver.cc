@@ -301,8 +301,8 @@ TEST(BatchDriver, ExpiredDeadlineReportsDeadline)
     }
 }
 
-/** The work-stealing rewrite must not perturb output bytes: any
- *  worker count yields the serial batch, report for report. */
+/** The job pool must not perturb output bytes: any worker count
+ *  yields the serial batch, report for report. */
 TEST(BatchDriver, OutputIndependentOfWorkerCount)
 {
     const auto ws = quickWorkloads();

@@ -300,16 +300,6 @@ const char *const kPinnedAnalyticsJson =
     "\"totalSec\":0.000000000,\"selfSec\":0.000000000},{"
     "\"slot\":\"spec_fast_retire\",\"parent\":\"spec_dispatch\",\"ticks\":0,"
     "\"selfTicks\":0,\"scopes\":0,\"totalSec\":0.000000000,"
-    "\"selfSec\":0.000000000},{\"slot\":\"svc_accept\",\"parent\":null,"
-    "\"ticks\":0,\"selfTicks\":0,\"scopes\":0,\"totalSec\":0.000000000,"
-    "\"selfSec\":0.000000000},{\"slot\":\"svc_parse\",\"parent\":null,"
-    "\"ticks\":0,\"selfTicks\":0,\"scopes\":0,\"totalSec\":0.000000000,"
-    "\"selfSec\":0.000000000},{\"slot\":\"svc_schedule\",\"parent\":null,"
-    "\"ticks\":0,\"selfTicks\":0,\"scopes\":0,\"totalSec\":0.000000000,"
-    "\"selfSec\":0.000000000},{\"slot\":\"svc_run\",\"parent\":null,"
-    "\"ticks\":0,\"selfTicks\":0,\"scopes\":0,\"totalSec\":0.000000000,"
-    "\"selfSec\":0.000000000},{\"slot\":\"svc_reply\",\"parent\":null,"
-    "\"ticks\":0,\"selfTicks\":0,\"scopes\":0,\"totalSec\":0.000000000,"
     "\"selfSec\":0.000000000}]}";
 
 TEST(CampaignAnalytics, BytesArePinned)
@@ -657,6 +647,21 @@ TEST(FleetEndToEnd, SmallCampaignCoversEverySeedOnce)
     ASSERT_EQ(m.completed().size(), 4u);
     for (std::uint64_t s = 0x5eed; s < 0x5eed + 4; ++s)
         EXPECT_EQ(m.completed().count(s), 1u) << "seed " << s;
+}
+
+/** The host profiler is per process and fleet cases run in worker
+ *  processes, so a fleet campaign refuses --hostprof instead of
+ *  writing an all-zero profile. */
+TEST(FleetEndToEnd, HostprofIsRefused)
+{
+    const std::string dir = makeTempDir();
+    const int rc = runCmd(std::string(JRPM_FLEET_EXE) +
+                          " --fleet --hostprof --manifest=" + dir +
+                          "/m --cases=2 --jobs=1 >" + dir +
+                          "/log 2>&1");
+    const std::string log = slurp(dir + "/log");
+    EXPECT_EQ(rc, 1) << log;
+    EXPECT_NE(log.find("--hostprof"), std::string::npos) << log;
 }
 
 /** The acceptance experiment: one scenario patched to abort() ends

@@ -1,11 +1,11 @@
 /**
  * @file
  * Jrpm-as-a-service coverage: the wire protocol (framing round-trip,
- * torn / oversized / garbage frames, version mismatch), the
- * work-stealing scheduler (steal-heavy determinism, fault
- * containment), and the TCP server end to end — loopback clients
- * whose results must be byte-identical to the batch driver's,
- * admission backpressure, cancellation, deadlines and graceful
+ * torn / oversized / garbage frames, version mismatch), the FIFO
+ * job pool (oldest-first order, determinism, fault containment), and
+ * the TCP server end to end — loopback clients whose results must be
+ * byte-identical to the batch driver's, admission backpressure,
+ * cancellation, deadlines, a contained fatal() and graceful
  * shutdown.
  */
 
@@ -13,16 +13,18 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <filesystem>
+#include <mutex>
 #include <thread>
 #include <vector>
 
 #include "core/report_json.hh"
 #include "driver/driver.hh"
+#include "driver/pool.hh"
 #include "forge/forge.hh"
 #include "service/protocol.hh"
-#include "service/scheduler.hh"
 #include "service/server.hh"
 #include "workloads/workloads.hh"
 
@@ -215,11 +217,11 @@ TEST(ServiceProtocol, VersionMismatchIsTyped)
     EXPECT_FALSE(mismatch) << "missing kind is not a version issue";
 }
 
-// ---- work-stealing scheduler ------------------------------------------
+// ---- job pool ---------------------------------------------------------
 
-TEST(WorkStealingPool, ExecutesEverythingAcrossWorkers)
+TEST(JobPool, ExecutesEverythingAcrossWorkers)
 {
-    svc::WorkStealingPool pool(4);
+    JobPool pool(4);
     std::atomic<int> ran{0};
     for (int i = 0; i < 200; ++i)
         pool.submit([&ran] { ran.fetch_add(1); });
@@ -232,28 +234,50 @@ TEST(WorkStealingPool, ExecutesEverythingAcrossWorkers)
     EXPECT_EQ(s.inflight, 0u);
 }
 
-TEST(WorkStealingPool, PinnedHomeForcesSteals)
+/** A worker that frees up takes the oldest queued task: with one
+ *  worker held to the end and the other freed after six tasks queue
+ *  behind both, the freed worker runs all six in submission order. */
+TEST(JobPool, QueuedTasksRunOldestFirst)
 {
-    svc::WorkStealingPool pool(4);
-    std::atomic<int> ran{0};
-    // Everything lands on deque 0; the other three workers can only
-    // make progress by stealing.
-    for (int i = 0; i < 256; ++i)
-        pool.submit(
-            [&ran] {
-                ran.fetch_add(1);
-                std::this_thread::sleep_for(
-                    std::chrono::microseconds(200));
-            },
-            0);
+    JobPool pool(2);
+    std::mutex mu;
+    std::condition_variable cv;
+    int holding = 0;
+    bool releaseFirst = false, releaseLast = false;
+    std::vector<int> order;
+    auto hold = [&](const bool &release) {
+        std::unique_lock<std::mutex> lk(mu);
+        ++holding;
+        cv.notify_all();
+        cv.wait(lk, [&] { return release; });
+    };
+    pool.submit([&] { hold(releaseLast); });
+    pool.submit([&] { hold(releaseFirst); });
+    {
+        std::unique_lock<std::mutex> lk(mu);
+        cv.wait(lk, [&] { return holding == 2; });
+    }
+    for (int i = 0; i < 6; ++i)
+        pool.submit([&, i] {
+            std::lock_guard<std::mutex> lk(mu);
+            order.push_back(i);
+            cv.notify_all();
+        });
+    {
+        std::unique_lock<std::mutex> lk(mu);
+        releaseFirst = true;
+        cv.notify_all();
+        cv.wait(lk, [&] { return order.size() == 6; });
+        releaseLast = true;
+        cv.notify_all();
+    }
     pool.drain();
-    EXPECT_EQ(ran.load(), 256);
-    EXPECT_GT(pool.stats().steals, 0u);
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
 }
 
-TEST(WorkStealingPool, FaultsAreContained)
+TEST(JobPool, FaultsAreContained)
 {
-    svc::WorkStealingPool pool(2);
+    JobPool pool(2);
     std::atomic<int> ran{0};
     pool.submit([] { throw std::runtime_error("poisoned task"); });
     for (int i = 0; i < 16; ++i)
@@ -263,9 +287,9 @@ TEST(WorkStealingPool, FaultsAreContained)
     EXPECT_EQ(pool.stats().taskFaults, 1u);
 }
 
-TEST(WorkStealingPool, DrainIsReusable)
+TEST(JobPool, DrainIsReusable)
 {
-    svc::WorkStealingPool pool(3);
+    JobPool pool(3);
     std::atomic<int> ran{0};
     for (int round = 0; round < 3; ++round) {
         for (int i = 0; i < 50; ++i)
@@ -275,28 +299,24 @@ TEST(WorkStealingPool, DrainIsReusable)
     }
 }
 
-/** Steal-heavy determinism: input-indexed result slots make the
- *  output independent of worker count and steal order. */
-TEST(WorkStealingPool, ResultSlotsAreDeterministicUnderStealing)
+/** Input-indexed result slots make the output independent of the
+ *  worker count and of which worker ran which task. */
+TEST(JobPool, ResultSlotsAreDeterministicAcrossWorkerCounts)
 {
-    auto runOnce = [](std::uint32_t workers, std::uint32_t home) {
+    auto runOnce = [](std::uint32_t workers) {
         std::vector<std::uint64_t> slots(512, 0);
-        svc::WorkStealingPool pool(workers);
+        JobPool pool(workers);
         for (std::uint32_t i = 0; i < 512; ++i)
-            pool.submit(
-                [&slots, i] {
-                    // A value derived only from the input index.
-                    slots[i] = 0x9e3779b97f4a7c15ull * (i + 1);
-                },
-                home);
+            pool.submit([&slots, i] {
+                // A value derived only from the input index.
+                slots[i] = 0x9e3779b97f4a7c15ull * (i + 1);
+            });
         pool.drain();
         return slots;
     };
-    const auto serial = runOnce(1, 0);
-    const auto pinned = runOnce(8, 0);  // max stealing
-    const auto spread = runOnce(4, 3);
-    EXPECT_EQ(serial, pinned);
-    EXPECT_EQ(serial, spread);
+    const auto serial = runOnce(1);
+    EXPECT_EQ(serial, runOnce(8));
+    EXPECT_EQ(serial, runOnce(4));
 }
 
 // ---- server: protocol edges over a real socket ------------------------
@@ -663,6 +683,38 @@ TEST(JrpmService, WarmResubmissionHitsTheSharedCache)
     st.kind = ReqKind::Stats;
     ASSERT_TRUE(c.call(st, v, nullptr, &err)) << err;
     EXPECT_GE(v["cache"]["hits"].number(), 1.0);
+}
+
+/** A fatal() inside one request's pipeline fails that request only:
+ *  a "warm": "warm" submit against an empty cache gets an error
+ *  frame, and the same connection's next submit gets a result. */
+TEST(JrpmService, FatalInOneRequestIsContained)
+{
+    TempDir tmp;
+    ServiceConfig cfg = quickServerConfig();
+    cfg.cache.dir = (tmp.path / "repo").string();
+    ScopedServer srv(cfg);
+    ServiceClient c = srv.client();
+    std::string err;
+    JsonValue v;
+
+    Request r;
+    r.id = 1;
+    r.kind = ReqKind::Submit;
+    r.haveSeed = true;
+    r.seed = 4243;
+    r.warm = "warm";
+    ASSERT_TRUE(c.call(r, v, nullptr, &err)) << err;
+    EXPECT_EQ(v["kind"].str, "error");
+    EXPECT_EQ(v["status"].str, "error");
+    EXPECT_NE(v["detail"].str.find("--warm=warm"), std::string::npos)
+        << v["detail"].str;
+
+    r.id = 2;
+    r.warm.clear();
+    ASSERT_TRUE(c.call(r, v, nullptr, &err)) << err;
+    EXPECT_EQ(v["kind"].str, "result");
+    EXPECT_EQ(srv.service.counters().pipelineErrors, 1u);
 }
 
 TEST(JrpmService, GracefulShutdownDrainsInflightAndRejectsNew)

@@ -422,11 +422,12 @@ TEST(TraceMachine, ViolationLedgerAttributesSquashes)
 
 TEST(TraceLedger, OracleAttributesWhileAnotherPipelineRecords)
 {
-    // Oracle::attribute() walks the violation ledger while other
-    // batch-driver pipelines append to it, so every ledger readout
-    // must be a copy taken under the recorder's lock.  A reference
-    // into the live ledger races with the appends: ThreadSanitizer
-    // reports it, and a reallocating append can crash the reader.
+    // Other batch-driver pipelines append to the process-wide ledger
+    // while this one's oracle compares.  The oracle blames only the
+    // run under test's own ledger, so another pipeline's record never
+    // becomes its suspect; and every readout of the global ledger is
+    // a copy taken under the recorder's lock (ThreadSanitizer checks
+    // the concurrent phases() reads below).
     Trace &tr = Trace::global();
     tr.configure(4, 64);
     tr.setEnabled(true);
@@ -469,9 +470,31 @@ TEST(TraceLedger, OracleAttributesWhileAnotherPipelineRecords)
     tr.recordViolation(hit);
     EXPECT_EQ(tr.violations().size(), kRecords + 1u);
     EXPECT_EQ(tr.violationsDropped(), 0u);
+    EXPECT_EQ(Oracle::compare(oc, golden, actual, {}).suspectLoop, -1);
+    actual.violations.push_back(hit);
     EXPECT_EQ(Oracle::compare(oc, golden, actual, {}).suspectLoop, 9);
     tr.setEnabled(false);
     tr.clear();
+}
+
+/** With the flight recorder off, a strict compare still blames a
+ *  divergence on the TLS run's own squashes: bench_robustness's
+ *  explicit fault plan on Assignment's quick input. */
+TEST(TraceLedger, StrictOracleBlamesWithTheRecorderOff)
+{
+    ASSERT_FALSE(Trace::global().enabled());
+    Workload w = wl::workloadByName("Assignment");
+    w.mainArgs = w.profileArgs;
+    w.profileArgs.clear();
+    JrpmConfig cfg;
+    cfg.oracle.mode = OracleMode::Strict;
+    cfg.sys.watchdog.noProgressCycles = 500'000;
+    cfg.faultPlan =
+        FaultPlan::parse("suppress@1000,corrupt@0,corrupt@5000");
+    const JrpmReport rep = JrpmSystem(w, cfg).run();
+    ASSERT_FALSE(rep.oracle.match());
+    EXPECT_EQ(rep.oracle.suspectLoop, 0);
+    EXPECT_EQ(rep.oracle.suspectSite, 0xc4u);
 }
 
 // ---------------------------------------------------------------------
