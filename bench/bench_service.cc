@@ -17,7 +17,10 @@
  * pool seed, then asserts every service result embeds those exact
  * bytes — the service-vs-driver byte-identity check of the
  * acceptance criteria runs on every response, under full
- * concurrency.
+ * concurrency.  With --repo, a repeat seed is served warm from the
+ * crystal repository; a report that says `"warmStart":true` must
+ * equal its golden in every member but the ones a warm start changes
+ * (kWarmMembers).
  *
  *   --serve[=port]    run only the server (for scripts/jrpm_client.py
  *                     and manual poking); prints the port, blocks
@@ -28,9 +31,8 @@
  *   --workers=<n>     server pool width             (default 4)
  *   --cap=<n>         admission cap                 (default 64)
  *   --seeds=<n>       distinct scenario seeds       (default 12)
- *   --repo=<dir>      enable the warm cache (changes report bytes
- *                     on repeat seeds; byte checks then only cover
- *                     cold first-hits, so default is off)
+ *   --repo=<dir>      serve repeat seeds warm from a crystal
+ *                     repository (default off)
  */
 
 #include <algorithm>
@@ -42,6 +44,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -68,6 +71,46 @@ constexpr std::uint64_t kMinResults = 200;
 /** p99 latency ceiling.  Generous, because an open loop queues by
  *  design and the admission cap bounds the queue. */
 constexpr double kMaxP99Ms = 10'000;
+
+/** The report members a warm start changes: it charges no profiling
+ *  cycles, so its lifecycle total and total speedup move, and it may
+ *  demote its entry. */
+const std::set<std::string> kWarmMembers = {
+    "warmStart", "demoted", "totalSpeedup", "phases.profiling",
+    "phases.total"};
+
+/** True when @p a and @p b are the same JSON, ignoring the members
+ *  named in kWarmMembers (by dotted path from the report root). */
+bool
+sameButWarmMembers(const JsonValue &a, const JsonValue &b,
+                   const std::string &path = "")
+{
+    if (a.kind != b.kind || a.b != b.b || a.num != b.num ||
+        a.str != b.str || a.items.size() != b.items.size() ||
+        a.fields.size() != b.fields.size())
+        return false;
+    for (std::size_t i = 0; i < a.items.size(); ++i)
+        if (!sameButWarmMembers(a.items[i], b.items[i], path))
+            return false;
+    for (auto ia = a.fields.begin(), ib = b.fields.begin();
+         ia != a.fields.end(); ++ia, ++ib) {
+        const std::string at =
+            path.empty() ? ia->first : path + "." + ia->first;
+        if (ia->first != ib->first ||
+            (!kWarmMembers.count(at) &&
+             !sameButWarmMembers(ia->second, ib->second, at)))
+            return false;
+    }
+    return true;
+}
+
+/** One pool seed's batch-driver report: the bytes a cold result
+ *  embeds, and their parse for comparing a warm one. */
+struct Golden
+{
+    std::string bytes;
+    JsonValue report;
+};
 
 double
 msBetween(Clock::time_point a, Clock::time_point b)
@@ -106,7 +149,7 @@ void
 clientLoop(std::uint16_t port, const LoadOptions &opt,
            std::uint32_t index,
            const std::vector<std::uint64_t> &seeds,
-           const std::map<std::uint64_t, std::string> &golden,
+           const std::map<std::uint64_t, Golden> &golden,
            ClientResult &res)
 {
     svc::ServiceClient c;
@@ -146,10 +189,15 @@ clientLoop(std::uint16_t port, const LoadOptions &opt,
             }
             res.results++;
             res.queueMs.push_back(v["queueMs"].number());
-            // Byte-identity against the batch driver's report.
+            // Byte-identity against the batch driver's report; a
+            // warm result matches it but for what a warm start
+            // changes.
             const auto g = golden.find(seedOf[id]);
+            const JsonValue &rep = v["report"];
             if (g == golden.end() ||
-                raw.find(g->second) == std::string::npos)
+                (rep["warmStart"].boolean()
+                     ? !sameButWarmMembers(rep, g->second.report)
+                     : raw.find(g->second.bytes) == std::string::npos))
                 res.byteMismatches++;
         } else if (v["kind"].str == "error") {
             if (sent != sendTime.end())
@@ -251,7 +299,7 @@ runLoad(const LoadOptions &opt)
 
     inform("bench_service: computing %zu golden driver reports",
            seeds.size());
-    std::map<std::uint64_t, std::string> golden;
+    std::map<std::uint64_t, Golden> golden;
     {
         std::vector<DriverJob> jobs;
         for (std::uint64_t s : seeds) {
@@ -270,8 +318,10 @@ runLoad(const LoadOptions &opt)
             if (!res[i].ok)
                 fatal("golden run for seed %" PRIx64 " failed: %s",
                       seeds[i], res[i].error.c_str());
-            golden[seeds[i]] =
-                "\"report\":" + reportJson(res[i].report) + "}";
+            Golden &g = golden[seeds[i]];
+            g.bytes = reportJson(res[i].report);
+            jsonParse(g.bytes, g.report);
+            g.bytes = "\"report\":" + g.bytes + "}";
         }
     }
 

@@ -138,7 +138,7 @@ parseArgs(int argc, char **argv)
                         "[--report-out=<path>] "
                         "[--trace-out=<path>] "
                         "[--metrics-out=<path>] "
-                        "[--oracle=off|checksum|strict] "
+                        "[--oracle=off|strict] "
                         "[--fault-plan=<spec>] [--cases=<n>] "
                         "[--seed=<n>] [--axes=<list|all>] "
                         "[--corpus-out=<dir>] [--replay=<dir>] "
@@ -211,8 +211,6 @@ benchConfig(const Options &opt)
     if (!opt.oracle.empty()) {
         if (opt.oracle == "off")
             cfg.oracle.mode = OracleMode::Off;
-        else if (opt.oracle == "checksum")
-            cfg.oracle.mode = OracleMode::Checksum;
         else if (opt.oracle == "strict")
             cfg.oracle.mode = OracleMode::Strict;
         else

@@ -11,7 +11,7 @@
  *   --report-out=<path>  machine-readable JSON of every JrpmReport
  *   --trace-out=<path>   write a Chrome/Perfetto trace of the runs
  *   --metrics-out=<path> dump the metrics registry (.json for JSON)
- *   --oracle=<mode>      off | checksum | strict differential oracle
+ *   --oracle=<mode>      off | strict differential oracle
  *   --fault-plan=<spec>  inject faults (see FaultPlan::parse)
  *   --cases=<n>          campaign size (robustness, forge campaign)
  *   --seed=<n>           campaign seed (robustness, forge campaign)
@@ -53,7 +53,7 @@ struct Options
     std::string only;
     std::string traceOut;    ///< --trace-out=<path>
     std::string metricsOut;  ///< --metrics-out=<path>
-    std::string oracle;      ///< --oracle=off|checksum|strict
+    std::string oracle;      ///< --oracle=off|strict
     std::string faultPlan;   ///< --fault-plan=<spec>
     std::string reportOut;   ///< --report-out=<path>
     std::string repoDir;     ///< --repo=<dir>

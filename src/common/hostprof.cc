@@ -40,12 +40,10 @@ const char *const kNames[kNumSlots] = {
     "squash",         // Squash
     "buffer_drain",   // BufferDrain
     "spec_state_clear", // SpecStateClear
-    "cache_model",    // CacheModel
     "trap_runtime",   // TrapRuntime
     "oracle_check",   // OracleCheck
     "metrics_publish",// MetricsPublish
     "sig_check",      // SigCheck
-    "spec_fast_retire", // SpecFastRetire
 };
 
 // Declared display hierarchy (see slotParent doc in the header).
@@ -63,12 +61,10 @@ const int kParents[kNumSlots] = {
     static_cast<int>(HostSlot::StepExact),    // Squash
     static_cast<int>(HostSlot::Commit),       // BufferDrain
     static_cast<int>(HostSlot::Squash),       // SpecStateClear
-    static_cast<int>(HostSlot::StepExact),    // CacheModel
     static_cast<int>(HostSlot::StepExact),    // TrapRuntime
     static_cast<int>(HostSlot::Pipeline),     // OracleCheck
     static_cast<int>(HostSlot::Pipeline),     // MetricsPublish
     static_cast<int>(HostSlot::StepExact),    // SigCheck
-    static_cast<int>(HostSlot::SpecDispatch), // SpecFastRetire
 };
 
 } // namespace

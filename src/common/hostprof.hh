@@ -50,15 +50,13 @@ enum class HostSlot : std::uint8_t
     Squash,        ///< squashToRestart
     BufferDrain,   ///< StoreBuffer::drainTo
     SpecStateClear,///< Core::clearSpecState
-    CacheModel,    ///< CacheModel::access tag/LRU updates
     TrapRuntime,   ///< VM trap handling
     OracleCheck,   ///< oracle comparison / divergence checks
     MetricsPublish,///< metrics/trace publication
     SigCheck,      ///< write/read-set signature membership probes
-    SpecFastRetire,///< speculative memory ops retired in-window
 };
 
-inline constexpr std::size_t kNumSlots = 19;
+inline constexpr std::size_t kNumSlots = 17;
 
 /** Short stable name for a slot ("machine_run", "dep_check", ...). */
 const char *slotName(std::size_t slot);

@@ -1,6 +1,7 @@
 #include "json.hh"
 
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 
@@ -334,6 +335,127 @@ jsonParse(const std::string &text, JsonValue &out, std::string *err,
 {
     out = JsonValue();
     return JsonParser(text, limits).parse(out, err);
+}
+
+// ---- strict member reads ----------------------------------------------
+
+namespace
+{
+
+/** True when @p v is a number holding an integer in [lo, hi]. */
+bool
+integerIn(const JsonValue &v, std::int64_t lo, std::int64_t hi)
+{
+    return v.kind == JsonValue::Kind::Number &&
+           v.num >= static_cast<double>(lo) &&
+           v.num <= static_cast<double>(hi) && v.num == std::trunc(v.num);
+}
+
+} // namespace
+
+JsonMembers::JsonMembers(const JsonValue &object, std::string &e)
+    : obj(object), err(e)
+{
+    if (obj.kind != JsonValue::Kind::Object && err.empty())
+        err = "expected a JSON object";
+}
+
+void
+JsonMembers::fail(const char *key, const std::string &what)
+{
+    if (err.empty())
+        err = strfmt("member '%s' %s", key, what.c_str());
+}
+
+const JsonValue &
+JsonMembers::get(const char *key, JsonValue::Kind kind)
+{
+    static const char *const kKindNames[] = {
+        "null", "a boolean", "a number", "a string", "an array",
+        "an object"};
+    if (!ok())
+        return kNullJson;
+    const auto it = obj.fields.find(key);
+    if (it == obj.fields.end()) {
+        fail(key, "is missing");
+        return kNullJson;
+    }
+    if (it->second.kind != kind) {
+        fail(key, strfmt("is not %s", kKindNames[static_cast<int>(kind)]));
+        return kNullJson;
+    }
+    return it->second;
+}
+
+double
+JsonMembers::number(const char *key)
+{
+    return get(key, JsonValue::Kind::Number).num;
+}
+
+std::int64_t
+JsonMembers::integer(const char *key, std::int64_t lo, std::int64_t hi)
+{
+    const JsonValue &v = get(key, JsonValue::Kind::Number);
+    if (ok() && !integerIn(v, lo, hi))
+        fail(key, "is not an integer in range");
+    return ok() ? static_cast<std::int64_t>(v.num) : 0;
+}
+
+std::vector<std::int64_t>
+JsonMembers::integers(const char *key, std::size_t count,
+                      std::int64_t lo, std::int64_t hi)
+{
+    const std::vector<JsonValue> &items = array(key, count);
+    if (ok() && items.size() != count)
+        fail(key, strfmt("does not hold %zu elements", count));
+    std::vector<std::int64_t> out(count, 0);
+    for (std::size_t i = 0; ok() && i < count; ++i) {
+        if (integerIn(items[i], lo, hi))
+            out[i] = static_cast<std::int64_t>(items[i].num);
+        else
+            fail(key, "holds an element that is not an integer in range");
+    }
+    return out;
+}
+
+bool
+JsonMembers::boolean(const char *key)
+{
+    return get(key, JsonValue::Kind::Bool).b;
+}
+
+std::string
+JsonMembers::string(const char *key)
+{
+    return get(key, JsonValue::Kind::String).str;
+}
+
+std::uint64_t
+JsonMembers::hex64(const char *key)
+{
+    const std::string &s = get(key, JsonValue::Kind::String).str;
+    std::uint64_t v = 0;
+    const char *end = s.data() + s.size();
+    const auto r = std::from_chars(s.data(), end, v, 16);
+    if (ok() && (s.size() != 16 || r.ec != std::errc() || r.ptr != end))
+        fail(key, "is not 16 hex digits");
+    return ok() ? v : 0;
+}
+
+const std::vector<JsonValue> &
+JsonMembers::array(const char *key, std::size_t max_items)
+{
+    const JsonValue &a = get(key, JsonValue::Kind::Array);
+    if (a.items.size() > max_items)
+        fail(key, strfmt("has more than %zu elements", max_items));
+    return ok() ? a.items : kNullJson.items;
+}
+
+JsonMembers
+JsonMembers::object(const char *key)
+{
+    return JsonMembers(get(key, JsonValue::Kind::Object), err);
 }
 
 std::string

@@ -68,6 +68,57 @@ bool jsonParse(const std::string &text, JsonValue &out,
                std::string *err = nullptr,
                const JsonLimits &limits = {});
 
+/** The largest integer every double between 0 and it holds exactly
+ *  (2^53), so the largest a document read back can carry exactly. */
+inline constexpr std::int64_t kJsonMaxExactInt = std::int64_t{1} << 53;
+
+/**
+ * Strict reads of a parsed object's members, for documents read back
+ * from disk.  A member that is absent or of the wrong kind, or a
+ * number that is not an integer in the range asked for, is an error,
+ * never a zero.  The first error is kept in the string the reader was
+ * built with, which readers made by object() share; reads after an
+ * error return zero values.
+ */
+class JsonMembers
+{
+  public:
+    /** Read @p object; an error if it is not an object. */
+    JsonMembers(const JsonValue &object, std::string &err);
+
+    bool ok() const { return err.empty(); }
+
+    double number(const char *key);
+    /** An integral number in [@p lo, @p hi]. */
+    std::int64_t integer(const char *key, std::int64_t lo,
+                         std::int64_t hi);
+    /** An array of exactly @p count integers in [@p lo, @p hi]. */
+    std::vector<std::int64_t> integers(const char *key,
+                                       std::size_t count,
+                                       std::int64_t lo,
+                                       std::int64_t hi);
+    bool boolean(const char *key);
+    std::string string(const char *key);
+    /** Sixteen hex digits in a string: how hashes and seeds are
+     *  written (`strfmt("%016" PRIx64, v)`). */
+    std::uint64_t hex64(const char *key);
+    /** An array of at most @p max_items elements. */
+    const std::vector<JsonValue> &array(const char *key,
+                                        std::size_t max_items);
+    /** A member object, read into the same error. */
+    JsonMembers object(const char *key);
+
+  private:
+    /** The member, or a null value after recording an error when it
+     *  is absent or not of @p kind. */
+    const JsonValue &get(const char *key, JsonValue::Kind kind);
+    /** Record @p what about member @p key unless an error is kept. */
+    void fail(const char *key, const std::string &what);
+
+    const JsonValue &obj;
+    std::string &err;
+};
+
 /** Escape a string for embedding in a JSON document (quotes not
  *  included). */
 std::string jsonEscape(std::string_view s);

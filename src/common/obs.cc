@@ -65,8 +65,20 @@ flush()
         trace_out = armedTraceOut;
         metrics_out = armedMetricsOut;
     }
-    if (!trace_out.empty())
-        Trace::global().writeChromeJson(trace_out);
+    if (!trace_out.empty()) {
+        const Trace &trace = Trace::global();
+        trace.writeChromeJson(trace_out);
+        // Each ring keeps its track's tail, so a long trace silently
+        // loses its start unless this says so.
+        if (const std::uint64_t lost = trace.dropped()) {
+            const std::uint64_t all = trace.totalRecorded();
+            warn("trace '%s' is partial: it keeps %llu of %llu events "
+                 "recorded, the last %zu of each track",
+                 trace_out.c_str(),
+                 static_cast<unsigned long long>(all - lost),
+                 static_cast<unsigned long long>(all), trace.capacity());
+        }
+    }
     if (!metrics_out.empty()) {
         auto &reg = MetricsRegistry::global();
         if (hostprof::enabled()) {

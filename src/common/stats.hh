@@ -76,24 +76,6 @@ class SampleStat
         *this = SampleStat();
     }
 
-    /** Welford second moment (for exact serialization). */
-    double m2() const { return m2_; }
-
-    /** Rebuild an accumulator from serialized raw state. */
-    static SampleStat
-    fromRaw(std::uint64_t count, double sum, double mean, double m2,
-            double min, double max)
-    {
-        SampleStat s;
-        s.count_ = count;
-        s.sum_ = sum;
-        s.mean_ = mean;
-        s.m2_ = m2;
-        s.min_ = min;
-        s.max_ = max;
-        return s;
-    }
-
   private:
     std::uint64_t count_ = 0;
     double sum_ = 0.0;

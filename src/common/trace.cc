@@ -192,6 +192,13 @@ Trace::dropped() const
     return n;
 }
 
+std::size_t
+Trace::capacity() const
+{
+    std::lock_guard<std::recursive_mutex> lock(mu);
+    return rings.empty() ? 0 : rings.front().buf.size();
+}
+
 std::vector<TraceSpan>
 Trace::spans() const
 {

@@ -215,6 +215,9 @@ class Trace
     /** Events lost to ring wraparound. */
     std::uint64_t dropped() const;
 
+    /** Events each track's ring holds (0 before configure()). */
+    std::size_t capacity() const;
+
     /** The violation ledger, oldest first.  Like every readout this
      *  is a copy taken under the lock: concurrent pipelines keep
      *  appending. */

@@ -139,11 +139,9 @@ JrpmSystem::runOn(Machine &m, const std::vector<Word> &args)
         const auto skip =
             VmRuntime::scratchRegions(vmCfg, cfg.sys.numCpus);
         out.memChecksum = m.memoryChecksum(skip);
-        if (cfg.oracle.mode == OracleMode::Strict) {
-            out.memImage =
-                std::make_shared<const MemImage>(m.memorySnapshot());
-            out.violations = m.violations();
-        }
+        out.memImage =
+            std::make_shared<const MemImage>(m.memorySnapshot());
+        out.violations = m.violations();
     }
     {
         JRPM_HPROF(MetricsPublish);
@@ -373,7 +371,6 @@ JrpmSystem::runPipeline()
                static_cast<unsigned long long>(rep.fingerprint),
                entry.selections.size());
         rep.seqProfileIn = rep.seqMain;
-        rep.profiles = entry.profiles;
         rep.profilingSlowdown = entry.profilingSlowdown;
         rep.selections = entry.selections;
     } else {
@@ -525,7 +522,6 @@ JrpmSystem::runPipeline()
                     : 1.0;
             fresh.profilingSlowdown = rep.profilingSlowdown;
             fresh.profilingCycles = rep.profiled.cycles;
-            fresh.profiles = rep.profiles;
             fresh.selections = rep.selections;
             repo->store(fresh);
         }

@@ -149,6 +149,8 @@ struct JrpmReport
     RunOutcome seqProfileIn;  ///< plain sequential, profile input
     RunOutcome profiled;      ///< annotated run, profile input
     RunOutcome tls;           ///< speculative run, main input
+    /** TEST's per-loop profiles; empty on a warm start, which
+     *  profiles nothing (like `profiled`). */
     std::map<std::int32_t, LoopProfile> profiles;
     std::vector<SelectedStl> selections;
     PhaseBreakdown phases;

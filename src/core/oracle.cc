@@ -12,9 +12,8 @@ const char *
 oracleModeName(OracleMode mode)
 {
     switch (mode) {
-      case OracleMode::Off:      return "off";
-      case OracleMode::Checksum: return "checksum";
-      case OracleMode::Strict:   return "strict";
+      case OracleMode::Off:    return "off";
+      case OracleMode::Strict: return "strict";
     }
     return "?";
 }
@@ -70,8 +69,7 @@ Oracle::compare(const OracleConfig &cfg, const RunDigest &golden,
     rep.outputMatch = golden.output == actual.output;
     rep.memMatch = golden.memChecksum == actual.memChecksum;
 
-    if (cfg.mode == OracleMode::Strict && golden.memImage &&
-        actual.memImage) {
+    if (golden.memImage && actual.memImage) {
         const MemImage &g = *golden.memImage;
         const MemImage &a = *actual.memImage;
         const std::uint32_t n = std::min(g.size(), a.size());

@@ -28,9 +28,9 @@ namespace jrpm
 /** How hard the oracle compares the two runs. */
 enum class OracleMode : std::uint8_t
 {
-    Off,      ///< legacy exit-value/output compare only
-    Checksum, ///< + FNV-1a checksum over the memory image
-    Strict,   ///< + byte-wise image diff with attribution
+    Off,    ///< legacy exit-value/output compare only
+    Strict, ///< + memory-image checksum and byte-wise diff with
+            ///<   attribution
 };
 
 const char *oracleModeName(OracleMode mode);
@@ -57,9 +57,9 @@ struct RunDigest
     Word exitValue = 0;
     std::vector<Word> output;
     std::uint64_t memChecksum = 0;
-    /** Written pages; only captured in Strict mode. */
+    /** Written pages; only captured when the oracle is on. */
     std::shared_ptr<const MemImage> memImage;
-    /** The run's squashes; only captured in Strict mode. */
+    /** The run's squashes; only captured when the oracle is on. */
     std::vector<ViolationRecord> violations;
 
     /** The oracle's view of one machine run. */
@@ -83,7 +83,7 @@ struct OracleReport
     bool exitMatch = true;   ///< halted + exit value agree
     bool excMatch = true;    ///< uncaught-exception outcome agrees
     bool outputMatch = true; ///< PrintInt streams agree
-    bool memMatch = true;    ///< checksum (and image, if Strict)
+    bool memMatch = true;    ///< checksum and image
 
     std::uint64_t diffBytes = 0;     ///< total divergent bytes
     std::vector<MemDivergence> firstDiffs;

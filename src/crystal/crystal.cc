@@ -19,8 +19,9 @@
 
 #include "common/hash.hh"
 #include "common/logging.hh"
+#include "common/json.hh"
 #include "common/metrics.hh"
-#include "common/token_reader.hh"
+#include "common/seal.hh"
 
 namespace fs = std::filesystem;
 
@@ -146,90 +147,52 @@ namespace
 {
 
 constexpr const char *kMagic = "jrpm-crystal";
-
-/** Hex-float formatting: doubles round-trip exactly through %a. */
-std::string
-d2s(double v)
-{
-    return strfmt("%a", v);
-}
-
-void
-putStat(std::string &out, const char *name, const SampleStat &s)
-{
-    out += strfmt("stat %s %" PRIu64 " %s %s %s %s %s\n", name,
-                  s.count(), d2s(s.sum()).c_str(),
-                  d2s(s.mean()).c_str(), d2s(s.m2()).c_str(),
-                  d2s(s.min()).c_str(), d2s(s.max()).c_str());
-}
+/** Bound on the selections one entry may carry. */
+constexpr std::size_t kMaxSelections = 100000;
+constexpr std::int64_t kI32Min = INT32_MIN, kI32Max = INT32_MAX;
 
 } // namespace
 
 std::string
 CrystalEntry::serialize() const
 {
-    std::string out;
-    out += strfmt("%s v%u\n", kMagic, schemaVersion);
-    out += strfmt("workload %zu %s\n", workload.size(),
-                  workload.c_str());
-    out += strfmt("program %016" PRIx64 " args %016" PRIx64
-                  " config %016" PRIx64 "\n",
-                  programHash, argsHash, configHash);
-    out += strfmt("predicted %s slowdown %s profcycles %" PRIu64 "\n",
-                  d2s(predictedSpeedup).c_str(),
-                  d2s(profilingSlowdown).c_str(), profilingCycles);
-
-    out += strfmt("profiles %zu\n", profiles.size());
-    for (const auto &[id, p] : profiles) {
-        out += strfmt("loop %d entries %" PRIu64 " iters %" PRIu64
-                      " skipped %" PRIu64 " dep %" PRIu64
-                      " overflow %" PRIu64 "\n",
-                      id, p.entries, p.iterations, p.skippedEntries,
-                      p.depThreads, p.overflowThreads);
-        putStat(out, "threadSize", p.threadSize);
-        putStat(out, "arcDistance", p.arcDistance);
-        putStat(out, "arcStoreOffset", p.arcStoreOffset);
-        putStat(out, "arcLoadOffset", p.arcLoadOffset);
-        putStat(out, "loadLines", p.loadLines);
-        putStat(out, "storeLines", p.storeLines);
-        out += strfmt("arcs %zu\n", p.arcSites.size());
-        for (const auto &[site, count] : p.arcSites)
-            out += strfmt("arc %d %u %" PRIu64 "\n",
-                          site.isLocal ? 1 : 0, site.id, count);
-    }
-
-    out += strfmt("selections %zu\n", selections.size());
+    JsonWriter w;
+    w.beginObject(JsonWriter::Layout::Lines);
+    w.field("format", kMagic).field("schema", schemaVersion);
+    w.field("workload", workload);
+    w.field("programHash", strfmt("%016" PRIx64, programHash));
+    w.field("argsHash", strfmt("%016" PRIx64, argsHash));
+    w.field("configHash", strfmt("%016" PRIx64, configHash));
+    w.field("predictedSpeedup", predictedSpeedup);
+    w.field("profilingSlowdown", profilingSlowdown);
+    w.field("profilingCycles", profilingCycles);
+    w.key("selections").beginArray(JsonWriter::Layout::Lines);
     for (const SelectedStl &sel : selections) {
         const StlPrediction &pr = sel.prediction;
-        out += strfmt("sel %d\n", sel.loopId);
-        out += strfmt(
-            "pred %d %s %s %s %s %s %s %s %s %s %s %s %d\n",
-            pr.loopId, d2s(pr.avgThreadSize).c_str(),
-            d2s(pr.itersPerEntry).c_str(),
-            d2s(pr.coverageCycles).c_str(),
-            d2s(pr.depFrequency).c_str(),
-            d2s(pr.avgArcDistance).c_str(),
-            d2s(pr.avgArcSlack).c_str(),
-            d2s(pr.overflowFrequency).c_str(),
-            d2s(pr.avgLoadLines).c_str(),
-            d2s(pr.avgStoreLines).c_str(),
-            d2s(pr.predictedSpeedup).c_str(),
-            d2s(pr.predictedTlsCycles).c_str(),
-            pr.eligible ? 1 : 0);
-        out += strfmt("reason %zu %s\n", pr.reason.size(),
-                      pr.reason.c_str());
-        out += strfmt("plan %d %d %d %d %d\n",
-                      sel.plan.syncLock ? 1 : 0, sel.plan.syncLocalVar,
-                      sel.plan.multilevel ? 1 : 0,
-                      sel.plan.multilevelInner,
-                      sel.plan.hoistHandlers ? 1 : 0);
+        w.beginObject().field("loopId", sel.loopId);
+        w.key("prediction").beginObject().field("loopId", pr.loopId);
+        w.field("avgThreadSize", pr.avgThreadSize);
+        w.field("itersPerEntry", pr.itersPerEntry);
+        w.field("coverageCycles", pr.coverageCycles);
+        w.field("depFrequency", pr.depFrequency);
+        w.field("avgArcDistance", pr.avgArcDistance);
+        w.field("avgArcSlack", pr.avgArcSlack);
+        w.field("overflowFrequency", pr.overflowFrequency);
+        w.field("avgLoadLines", pr.avgLoadLines);
+        w.field("avgStoreLines", pr.avgStoreLines);
+        w.field("predictedSpeedup", pr.predictedSpeedup);
+        w.field("predictedTlsCycles", pr.predictedTlsCycles);
+        w.field("eligible", pr.eligible).field("reason", pr.reason);
+        w.endObject();
+        w.key("plan").beginObject().field("syncLock", sel.plan.syncLock);
+        w.field("syncLocalVar", sel.plan.syncLocalVar);
+        w.field("multilevel", sel.plan.multilevel);
+        w.field("multilevelInner", sel.plan.multilevelInner);
+        w.field("hoistHandlers", sel.plan.hoistHandlers);
+        w.endObject().endObject();
     }
-
-    // Trailing integrity checksum over everything above: a truncated
-    // or bit-flipped file cannot reproduce it.
-    out += strfmt("end %016" PRIx64 "\n",
-                  fnv1a(out.data(), out.size()));
-    return out;
+    w.endArray().endObject();
+    return sealDocument(w.take());
 }
 
 bool
@@ -242,126 +205,68 @@ CrystalEntry::deserialize(const std::string &text, CrystalEntry &out,
         return false;
     };
 
-    // Verify the trailing checksum first: it covers every byte up to
-    // and including the newline before the "end" line.
-    const std::size_t endAt = text.rfind("\nend ");
-    if (endAt == std::string::npos)
-        return failWith("missing end record (truncated?)");
-    const std::size_t bodyLen = endAt + 1;
-    char *stop = nullptr;
-    const std::uint64_t want =
-        std::strtoull(text.c_str() + endAt + 5, &stop, 16);
-    if (stop == text.c_str() + endAt + 5)
-        return failWith("unreadable end checksum");
-    // The end record must be the newline-terminated last line, so a
-    // file missing even its final byte is rejected.
-    if (std::string(stop) != "\n")
-        return failWith("trailing bytes after end record (truncated "
-                        "or appended)");
-    if (fnv1a(text.data(), bodyLen) != want)
-        return failWith("content checksum mismatch (corrupted)");
-
-    TokenReader r(text.substr(0, bodyLen));
-    CrystalEntry e;
-
-    r.expect(kMagic);
-    const std::string ver = r.word();
-    if (!r.fail && ver != strfmt("v%u", kCrystalSchemaVersion))
-        return failWith("schema version mismatch: found " + ver +
-                        strfmt(", expected v%u",
+    // The seal covers every byte, so a truncated or bit-flipped file
+    // is rejected before any member is trusted.
+    std::string doc, why;
+    if (!unsealDocument(text, doc))
+        return failWith("missing or wrong content checksum (truncated "
+                        "or corrupted)");
+    JsonValue v;
+    if (!jsonParse(doc, v, &why))
+        return failWith(why);
+    JsonMembers m(v, why);
+    if (m.string("format") != kMagic && m.ok())
+        return failWith("not a crystal entry");
+    const std::int64_t schema = m.integer("schema", 0, UINT32_MAX);
+    if (m.ok() && schema != kCrystalSchemaVersion)
+        return failWith(strfmt("schema version mismatch: found v%lld, "
+                               "expected v%u",
+                               static_cast<long long>(schema),
                                kCrystalSchemaVersion));
-    e.schemaVersion = kCrystalSchemaVersion;
 
-    r.expect("workload");
-    e.workload = r.lstr();
-    r.expect("program");
-    e.programHash = std::strtoull(r.word().c_str(), nullptr, 16);
-    r.expect("args");
-    e.argsHash = std::strtoull(r.word().c_str(), nullptr, 16);
-    r.expect("config");
-    e.configHash = std::strtoull(r.word().c_str(), nullptr, 16);
-    r.expect("predicted");
-    e.predictedSpeedup = r.f64();
-    r.expect("slowdown");
-    e.profilingSlowdown = r.f64();
-    r.expect("profcycles");
-    e.profilingCycles = r.u64();
-
-    r.expect("profiles");
-    const std::uint64_t np = r.u64();
-    if (r.fail || np > 100000)
-        return failWith(r.fail ? r.what : "absurd profile count");
-    for (std::uint64_t i = 0; i < np && !r.fail; ++i) {
-        LoopProfile p;
-        r.expect("loop");
-        p.loopId = static_cast<std::int32_t>(r.i64());
-        r.expect("entries");
-        p.entries = r.u64();
-        r.expect("iters");
-        p.iterations = r.u64();
-        r.expect("skipped");
-        p.skippedEntries = r.u64();
-        r.expect("dep");
-        p.depThreads = r.u64();
-        r.expect("overflow");
-        p.overflowThreads = r.u64();
-        p.threadSize = r.stat("threadSize");
-        p.arcDistance = r.stat("arcDistance");
-        p.arcStoreOffset = r.stat("arcStoreOffset");
-        p.arcLoadOffset = r.stat("arcLoadOffset");
-        p.loadLines = r.stat("loadLines");
-        p.storeLines = r.stat("storeLines");
-        r.expect("arcs");
-        const std::uint64_t na = r.u64();
-        if (r.fail || na > 1000000)
-            return failWith(r.fail ? r.what : "absurd arc count");
-        for (std::uint64_t a = 0; a < na && !r.fail; ++a) {
-            r.expect("arc");
-            ArcSite site;
-            site.isLocal = r.b();
-            site.id = static_cast<std::uint32_t>(r.u64());
-            p.arcSites[site] = r.u64();
-        }
-        e.profiles[p.loopId] = std::move(p);
-    }
-
-    r.expect("selections");
-    const std::uint64_t ns = r.u64();
-    if (r.fail || ns > 100000)
-        return failWith(r.fail ? r.what : "absurd selection count");
-    for (std::uint64_t i = 0; i < ns && !r.fail; ++i) {
+    CrystalEntry e;
+    e.workload = m.string("workload");
+    e.programHash = m.hex64("programHash");
+    e.argsHash = m.hex64("argsHash");
+    e.configHash = m.hex64("configHash");
+    e.predictedSpeedup = m.number("predictedSpeedup");
+    e.profilingSlowdown = m.number("profilingSlowdown");
+    e.profilingCycles = static_cast<std::uint64_t>(
+        m.integer("profilingCycles", 0, kJsonMaxExactInt));
+    for (const JsonValue &item : m.array("selections", kMaxSelections)) {
+        JsonMembers s(item, why);
         SelectedStl sel;
-        r.expect("sel");
-        sel.loopId = static_cast<std::int32_t>(r.i64());
+        sel.loopId =
+            static_cast<std::int32_t>(s.integer("loopId", kI32Min, kI32Max));
+        JsonMembers p = s.object("prediction");
         StlPrediction &pr = sel.prediction;
-        r.expect("pred");
-        pr.loopId = static_cast<std::int32_t>(r.i64());
-        pr.avgThreadSize = r.f64();
-        pr.itersPerEntry = r.f64();
-        pr.coverageCycles = r.f64();
-        pr.depFrequency = r.f64();
-        pr.avgArcDistance = r.f64();
-        pr.avgArcSlack = r.f64();
-        pr.overflowFrequency = r.f64();
-        pr.avgLoadLines = r.f64();
-        pr.avgStoreLines = r.f64();
-        pr.predictedSpeedup = r.f64();
-        pr.predictedTlsCycles = r.f64();
-        pr.eligible = r.b();
-        r.expect("reason");
-        pr.reason = r.lstr();
-        r.expect("plan");
-        sel.plan.syncLock = r.b();
-        sel.plan.syncLocalVar = static_cast<std::int32_t>(r.i64());
-        sel.plan.multilevel = r.b();
-        sel.plan.multilevelInner =
-            static_cast<std::int32_t>(r.i64());
-        sel.plan.hoistHandlers = r.b();
+        pr.loopId =
+            static_cast<std::int32_t>(p.integer("loopId", kI32Min, kI32Max));
+        pr.avgThreadSize = p.number("avgThreadSize");
+        pr.itersPerEntry = p.number("itersPerEntry");
+        pr.coverageCycles = p.number("coverageCycles");
+        pr.depFrequency = p.number("depFrequency");
+        pr.avgArcDistance = p.number("avgArcDistance");
+        pr.avgArcSlack = p.number("avgArcSlack");
+        pr.overflowFrequency = p.number("overflowFrequency");
+        pr.avgLoadLines = p.number("avgLoadLines");
+        pr.avgStoreLines = p.number("avgStoreLines");
+        pr.predictedSpeedup = p.number("predictedSpeedup");
+        pr.predictedTlsCycles = p.number("predictedTlsCycles");
+        pr.eligible = p.boolean("eligible");
+        pr.reason = p.string("reason");
+        JsonMembers plan = s.object("plan");
+        sel.plan.syncLock = plan.boolean("syncLock");
+        sel.plan.syncLocalVar = static_cast<std::int32_t>(
+            plan.integer("syncLocalVar", kI32Min, kI32Max));
+        sel.plan.multilevel = plan.boolean("multilevel");
+        sel.plan.multilevelInner = static_cast<std::int32_t>(
+            plan.integer("multilevelInner", kI32Min, kI32Max));
+        sel.plan.hoistHandlers = plan.boolean("hoistHandlers");
         e.selections.push_back(std::move(sel));
     }
-
-    if (r.fail)
-        return failWith(r.what);
+    if (!m.ok())
+        return failWith(why);
     out = std::move(e);
     return true;
 }
@@ -504,31 +409,9 @@ bool
 CrystalRepo::store(const CrystalEntry &entry)
 {
     std::lock_guard<std::mutex> lock(mu);
-    const std::string path = pathFor(entry.fingerprint());
     ScopedFlock iplock(lockFd, LOCK_EX);
-    // Unique per process *and* per store, so fleet workers sharing a
-    // directory never collide on the temp name.
-    const std::string tmp =
-        path + strfmt(".tmp.%016" PRIx64,
-                      Fnv1a()
-                          .str(path)
-                          .u64(counters.stores)
-                          .u64(static_cast<std::uint64_t>(::getpid()))
-                          .value());
-    const std::string text = entry.serialize();
-    std::FILE *f = std::fopen(tmp.c_str(), "wb");
-    if (!f) {
-        warn("crystal: cannot write '%s'", tmp.c_str());
+    if (!writeFileAtomic(pathFor(entry.fingerprint()), entry.serialize()))
         return false;
-    }
-    const bool ok =
-        std::fwrite(text.data(), 1, text.size(), f) == text.size();
-    std::fclose(f);
-    if (!ok || std::rename(tmp.c_str(), path.c_str()) != 0) {
-        warn("crystal: failed to persist '%s'", path.c_str());
-        std::remove(tmp.c_str());
-        return false;
-    }
     ++counters.stores;
     bump("crystal.stores");
     if (maxEntries > 0)

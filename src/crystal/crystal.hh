@@ -3,26 +3,34 @@
  * Crystal — the persistent decomposition repository.
  *
  * The Fig. 1 pipeline pays profiling, analysis and STL recompilation
- * on every run, yet the crystallized decompositions (per-workload
- * LoopProfile statistics, SelectedStl lists and predicted speedups)
- * are pure functions of the bytecode program, the profiling inputs
- * and the analyzer configuration.  Crystal persists them in a
- * versioned on-disk repository keyed by a deterministic FNV-1a
- * fingerprint of (program, profile args, AnalyzerConfig+TracerConfig,
- * schema version), so a later run of the same workload can warm-start:
- * skip the profile run and analysis entirely and recompile STLs
- * straight from the stored selections.
+ * on every run, yet what the analysis hands the microJIT (the
+ * SelectedStl list with its predictions and optimization plans) and
+ * the predicted speedup are pure functions of the bytecode program,
+ * the profiling inputs and the analyzer configuration.  Crystal
+ * persists exactly what a warm start reads — those selections plus
+ * the predicted speedup, profiling slowdown and profiling cycles the
+ * Fig. 8/9 accounting needs — in an on-disk repository keyed by a
+ * deterministic FNV-1a fingerprint of (program, profile args,
+ * AnalyzerConfig+TracerConfig, schema version), so a later run of
+ * the same workload can warm-start: skip the profile run and
+ * analysis entirely and recompile STLs straight from the stored
+ * selections.  TEST's raw per-loop profiles are not kept: nothing
+ * after the analysis reads them.
+ *
+ * An entry is one JSON document sealed with the checksum every
+ * persisted format shares (common/seal.hh).
  *
  * Invalidation rules:
  *  - any change to the program, profile args or analyzer/tracer
  *    config changes the fingerprint — the old entry is simply never
- *    found again (and a schema bump renders every old file
- *    unreadable, forcing a cold re-profile);
+ *    found again;
  *  - entries whose stored component hashes disagree with the caller's
  *    expectation (a hash collision or a hand-edited file) are treated
  *    as misses;
- *  - truncated or corrupted files fail the trailing content checksum
- *    and are treated as misses;
+ *  - truncated or corrupted files fail the seal, and files that are
+ *    not a well-formed entry of this schema (a missing member, a
+ *    member of the wrong kind, another schema version or an older
+ *    syntax) fail the parse; both are treated as misses;
  *  - post-run validation in JrpmSystem demotes entries whose actual
  *    TLS speedup falls far below the stored prediction.
  *
@@ -42,7 +50,6 @@
 #define JRPM_CRYSTAL_CRYSTAL_HH
 
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -55,8 +62,10 @@
 namespace jrpm
 {
 
-/** Bump on any change to the serialized layout or to the meaning of
- *  any persisted field; old entries then force a cold re-profile. */
+/** Bump on any change to the meaning of a persisted field.  It is
+ *  hashed into every fingerprint, so a bump orphans every old entry
+ *  (a cold re-profile); an entry whose stored schema differs is also
+ *  rejected on read, like a file in any other syntax. */
 constexpr std::uint32_t kCrystalSchemaVersion = 1;
 
 /** Warm-start policy for a pipeline run. */
@@ -96,7 +105,8 @@ std::uint64_t crystalFingerprint(std::uint64_t program_hash,
 
 // ---- the persisted entry ----------------------------------------------
 
-/** One crystallized decomposition: everything steps 2-3 produced. */
+/** One crystallized decomposition: what a warm start reads of the
+ *  output of steps 2-3. */
 struct CrystalEntry
 {
     std::uint32_t schemaVersion = kCrystalSchemaVersion;
@@ -115,7 +125,6 @@ struct CrystalEntry
      *  coverage normalizer so predictions match the cold pipeline. */
     std::uint64_t profilingCycles = 0;
 
-    std::map<std::int32_t, LoopProfile> profiles;
     std::vector<SelectedStl> selections;
 
     std::uint64_t
@@ -133,13 +142,14 @@ struct CrystalEntry
                configHash == config_hash;
     }
 
-    /** Versioned, checksummed text serialization (round-trips doubles
-     *  exactly via hex floats). */
+    /** One sealed JSON document (doubles at 17 significant digits
+     *  round-trip bit-exactly). */
     std::string serialize() const;
 
     /**
-     * Parse a serialized entry.  Rejects wrong magic, wrong schema
-     * version, truncation, and content-checksum mismatch.
+     * Parse a serialized entry.  Rejects a wrong or missing seal
+     * (truncation, corruption), malformed JSON, another format or
+     * schema version, and a missing member or one of the wrong kind.
      * @param err optional diagnostic on failure
      */
     static bool deserialize(const std::string &text, CrystalEntry &out,

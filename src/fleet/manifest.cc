@@ -1,7 +1,6 @@
 #include "manifest.hh"
 
 #include <cerrno>
-#include <cinttypes>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -9,40 +8,14 @@
 
 #include <unistd.h>
 
-#include "common/hash.hh"
 #include "common/logging.hh"
+#include "common/seal.hh"
 #include "fleet/wire.hh"
 
 namespace jrpm
 {
 namespace fleet
 {
-
-std::string
-sealRecord(const std::string &record)
-{
-    return record + strfmt(" crc %016" PRIx64,
-                           fnv1a(record.data(), record.size()));
-}
-
-bool
-unsealRecord(const std::string &line, std::string &record)
-{
-    // The payload may contain spaces (JSON, error text), so locate
-    // the *last* " crc " rather than tokenizing from the front.
-    const std::size_t at = line.rfind(" crc ");
-    if (at == std::string::npos)
-        return false;
-    char *end = nullptr;
-    const std::uint64_t want =
-        std::strtoull(line.c_str() + at + 5, &end, 16);
-    if (end != line.c_str() + line.size())
-        return false;
-    if (fnv1a(line.data(), at) != want)
-        return false;
-    record = line.substr(0, at);
-    return true;
-}
 
 CampaignManifest::CampaignManifest(std::string path)
     : manifestPath(std::move(path))

@@ -16,10 +16,11 @@
  *    snapshot now).
  *
  * Every line in both files carries a trailing ` crc <fnv64-hex>`
- * over the rest of the line.  A crash can tear at most the final
- * journal line; load() verifies each line, skips (and counts) torn
- * or corrupt ones, and de-duplicates by seed — replaying "checkpoint
- * then journal" is therefore idempotent.  A checkpoint whose header
+ * over the rest of the line (sealRecord(), common/seal.hh).  A crash
+ * can tear at most the final journal line; load() verifies each
+ * line, skips (and counts) torn or corrupt ones, and de-duplicates
+ * by seed — replaying "checkpoint then journal" is therefore
+ * idempotent.  A checkpoint whose header
  * is unreadable is discarded wholesale (with a warning); the journal
  * alone still restores every record appended since the last
  * truncation, and set semantics keep coverage exactly-once because
@@ -135,13 +136,6 @@ class CampaignManifest
     bool resumedFlag = false;
     std::uint32_t torn = 0;
 };
-
-/** Append ` crc <fnv64-hex>` to @p record (no newline). */
-std::string sealRecord(const std::string &record);
-
-/** Verify and strip a sealed line.  @return false on a missing or
- *  wrong checksum (i.e. a torn record). */
-bool unsealRecord(const std::string &line, std::string &record);
 
 } // namespace fleet
 } // namespace jrpm

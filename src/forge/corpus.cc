@@ -1,17 +1,14 @@
 #include "corpus.hh"
 
 #include <algorithm>
-#include <cerrno>
 #include <cinttypes>
-#include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
-#include "common/hash.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
-#include "common/token_reader.hh"
+#include "common/seal.hh"
 #include "crystal/crystal.hh"
 
 namespace jrpm
@@ -23,6 +20,9 @@ namespace
 {
 
 constexpr const char *kMagic = "jrpm-forge";
+/** Bound on the statements one entry may carry. */
+constexpr std::size_t kMaxStmts = 4096;
+constexpr std::int64_t kI32Min = INT32_MIN, kI32Max = INT32_MAX;
 
 } // namespace
 
@@ -38,29 +38,31 @@ std::string
 serializeCorpusEntry(const CorpusEntry &entry)
 {
     const ScenarioSpec &s = entry.spec;
-    std::string out;
-    out += strfmt("%s v%u\n", kMagic, s.version);
-    out += strfmt("seed 0x%016" PRIx64 "\n", s.seed);
-    out += strfmt("axes 0x%x %s\n", s.axes(),
-                  axesDescribe(s.axes()).c_str());
-    out += strfmt("n %d\n", s.n);
-    out += "init";
+    JsonWriter w;
+    w.beginObject(JsonWriter::Layout::Lines);
+    w.field("format", kMagic).field("version", s.version);
+    w.field("seed", strfmt("%016" PRIx64, s.seed));
+    w.field("axes", s.axes()).field("axisNames", axesDescribe(s.axes()));
+    w.field("n", s.n);
+    w.key("init").beginArray();
     for (std::int32_t v : s.init)
-        out += strfmt(" %d", v);
-    out += "\n";
-    out += strfmt("stmts %zu\n", s.body.size());
-    for (const ForgeStmt &st : s.body)
-        out += strfmt("s %s %d %d %d %d\n", stmtKindName(st.kind),
-                      st.p[0], st.p[1], st.p[2], st.p[3]);
-    out += strfmt("proghash 0x%016" PRIx64 "\n", entry.programHash);
+        w.value(v);
+    w.endArray().key("stmts").beginArray(JsonWriter::Layout::Lines);
+    for (const ForgeStmt &st : s.body) {
+        w.beginObject().field("kind", stmtKindName(st.kind));
+        w.key("p").beginArray();
+        for (std::int32_t p : st.p)
+            w.value(p);
+        w.endArray().endObject();
+    }
+    w.endArray().field("programHash",
+                     strfmt("%016" PRIx64, entry.programHash));
+    w.key("exit");
     if (entry.haveExit)
-        out += strfmt("exit 0x%08x\n", entry.expectedExit);
+        w.value(entry.expectedExit);
     else
-        out += "exit none\n";
-    // Trailing integrity checksum over everything above.
-    out += strfmt("check 0x%016" PRIx64 "\n",
-                  fnv1a(out.data(), out.size()));
-    return out;
+        w.null();
+    return sealDocument(w.endObject().take());
 }
 
 bool
@@ -80,42 +82,34 @@ deserializeCorpusEntry(const std::string &text, CorpusEntry &out,
         return failKind(CorpusError::Format, why);
     };
 
-    // Verify the trailing checksum first: it covers every byte up
-    // to the final "check" line, so truncation and bit rot are
-    // rejected before any field is trusted.
-    const std::size_t pos = text.rfind("check ");
-    if (pos == std::string::npos || pos == 0)
-        return failWith("missing end checksum");
-    {
-        TokenReader tail(text.substr(pos));
-        tail.expect("check");
-        const std::uint64_t stored = tail.u64();
-        if (tail.fail)
-            return failWith("unreadable end checksum");
-        if (stored != fnv1a(text.data(), pos))
-            return failWith("content checksum mismatch (corrupted)");
-    }
-
-    TokenReader r(text.substr(0, pos));
-    r.expect(kMagic);
-    const std::string ver = r.word();
-    if (!r.fail && ver != strfmt("v%u", kForgeVersion))
+    // The seal covers every byte, so truncation and bit rot are
+    // rejected before any member is trusted.
+    std::string doc, why;
+    if (!unsealDocument(text, doc))
+        return failWith("missing or wrong content checksum (truncated "
+                        "or corrupted)");
+    JsonValue v;
+    if (!jsonParse(doc, v, &why))
+        return failWith(why);
+    JsonMembers m(v, why);
+    if (m.string("format") != kMagic && m.ok())
+        return failWith("not a forge corpus entry");
+    const std::int64_t version = m.integer("version", 0, UINT32_MAX);
+    if (m.ok() && version != kForgeVersion)
         return failKind(
             CorpusError::Version,
-            strfmt("forge version mismatch (file %s, generator v%u)",
-                   ver.c_str(), kForgeVersion));
+            strfmt("forge version mismatch (file v%lld, generator v%u)",
+                   static_cast<long long>(version), kForgeVersion));
 
     CorpusEntry e;
     e.spec.version = kForgeVersion;
-    r.expect("seed");
-    e.spec.seed = r.u64();
-    r.expect("axes");
-    const std::uint64_t axes = r.u64();
-    r.word(); // human-readable axis list
+    e.spec.seed = m.hex64("seed");
+    const auto axes = static_cast<std::uint64_t>(
+        m.integer("axes", 0, kJsonMaxExactInt));
     // A same-version entry whose axes mask has bits outside kAllAxes
     // was written by a grammar with axes this build doesn't have;
     // dropping the bits would silently replay a different scenario.
-    if (!r.fail && (axes & ~static_cast<std::uint64_t>(kAllAxes)))
+    if (m.ok() && (axes & ~static_cast<std::uint64_t>(kAllAxes)))
         return failKind(
             CorpusError::FutureAxes,
             strfmt("axes mask 0x%llx has unknown axis bits 0x%llx "
@@ -124,45 +118,31 @@ deserializeCorpusEntry(const std::string &text, CorpusEntry &out,
                    static_cast<unsigned long long>(
                        axes & ~static_cast<std::uint64_t>(kAllAxes)),
                    kAllAxes));
-    r.expect("n");
-    e.spec.n = static_cast<std::int32_t>(r.i64());
-    r.expect("init");
-    for (std::int32_t &v : e.spec.init)
-        v = static_cast<std::int32_t>(r.i64());
-    r.expect("stmts");
-    const std::uint64_t count = r.u64();
-    if (r.fail)
-        return failWith(r.what);
-    if (count > 4096)
-        return failWith("implausible statement count");
-    for (std::uint64_t i = 0; i < count; ++i) {
-        r.expect("s");
-        const std::string kind = r.word();
+    m.string("axisNames"); // human-readable; only its kind is checked
+    e.spec.n = static_cast<std::int32_t>(m.integer("n", kI32Min, kI32Max));
+    const std::vector<std::int64_t> init =
+        m.integers("init", e.spec.init.size(), kI32Min, kI32Max);
+    std::copy(init.begin(), init.end(), e.spec.init.begin());
+    for (const JsonValue &item : m.array("stmts", kMaxStmts)) {
+        JsonMembers sm(item, why);
         ForgeStmt st;
-        if (!r.fail && !stmtKindByName(kind, st.kind))
-            return failWith("unknown statement kind '" + kind + "'");
-        for (std::int32_t &p : st.p)
-            p = static_cast<std::int32_t>(r.i64());
-        if (r.fail)
-            return failWith(r.what);
+        const std::string name = sm.string("kind");
+        if (sm.ok() && !stmtKindByName(name, st.kind))
+            return failWith("unknown statement kind '" + name + "'");
+        const std::vector<std::int64_t> p =
+            sm.integers("p", st.p.size(), kI32Min, kI32Max);
+        std::copy(p.begin(), p.end(), st.p.begin());
         e.spec.body.push_back(st);
     }
-    r.expect("proghash");
-    e.programHash = r.u64();
-    r.expect("exit");
-    const std::string exit_tok = r.word();
-    if (!r.fail && exit_tok != "none") {
-        errno = 0;
-        char *end = nullptr;
-        const std::uint64_t v =
-            std::strtoull(exit_tok.c_str(), &end, 0);
-        if (errno || end == exit_tok.c_str() || *end)
-            return failWith("bad exit checksum");
-        e.expectedExit = static_cast<Word>(v);
+    e.programHash = m.hex64("programHash");
+    // "exit" is null when no exit checksum was pinned.
+    if (!v["exit"].isNull() || !v.fields.count("exit")) {
+        e.expectedExit =
+            static_cast<Word>(m.integer("exit", 0, UINT32_MAX));
         e.haveExit = true;
     }
-    if (r.fail)
-        return failWith(r.what);
+    if (!m.ok())
+        return failWith(why);
     out = std::move(e);
     return true;
 }
@@ -174,25 +154,10 @@ writeCorpusEntry(const std::string &dir, const CorpusEntry &entry)
     std::filesystem::create_directories(dir, ec);
     const std::string path = dir + "/" + entry.fileName();
     // Write-then-rename: a writer killed mid-write leaves only a
-    // "*.scenario.tmp" file, which listCorpus() never picks up, never
-    // a half-written entry under the real name.
-    const std::string tmp = path + ".tmp";
-    std::FILE *f = std::fopen(tmp.c_str(), "w");
-    if (!f) {
-        warn("cannot open corpus file '%s'", tmp.c_str());
-        return "";
-    }
-    const std::string text = serializeCorpusEntry(entry);
-    const bool ok =
-        std::fwrite(text.data(), 1, text.size(), f) == text.size() &&
-        std::fflush(f) == 0;
-    std::fclose(f);
-    if (!ok || std::rename(tmp.c_str(), path.c_str()) != 0) {
-        warn("cannot persist corpus file '%s'", path.c_str());
-        std::remove(tmp.c_str());
-        return "";
-    }
-    return path;
+    // "*.scenario.tmp.*" file, which listCorpus() never picks up,
+    // never a half-written entry under the real name.
+    return writeFileAtomic(path, serializeCorpusEntry(entry)) ? path
+                                                              : "";
 }
 
 bool

@@ -2,15 +2,18 @@
  * @file
  * Persistent corpus format for forge scenarios.
  *
- * A corpus entry is a versioned, checksummed text file carrying a
- * scenario's provenance seed, its full statement list (so shrunk
- * specs — which no longer correspond to any generator seed — stay
- * replayable), the expected fingerprint of the rendered program, and
- * optionally the expected sequential exit checksum.  Loading rejects
- * wrong magic, a generator-version mismatch (the grammar may have
- * changed meaning), truncation and content-checksum corruption;
- * replaying re-renders the spec and verifies the stored program hash
- * so silent grammar drift is caught before a run is trusted.
+ * A corpus entry is one versioned JSON document, one member per
+ * line, sealed with the checksum every persisted format shares
+ * (common/seal.hh).  It carries a scenario's provenance seed, its
+ * full statement list (so shrunk specs — which no longer correspond
+ * to any generator seed — stay replayable), the expected fingerprint
+ * of the rendered program, and optionally the expected sequential
+ * exit checksum.  Loading rejects truncation and corruption (the
+ * seal), malformed JSON, another format, a generator-version
+ * mismatch (the grammar may have changed meaning), and a missing
+ * member or one of the wrong kind; replaying re-renders the spec and
+ * verifies the stored program hash so silent grammar drift is caught
+ * before a run is trusted.
  */
 
 #ifndef JRPM_FORGE_CORPUS_HH
@@ -40,7 +43,7 @@ struct CorpusEntry
     std::string fileName() const;
 };
 
-/** Versioned, checksummed text serialization. */
+/** One sealed JSON document, one member per line. */
 std::string serializeCorpusEntry(const CorpusEntry &entry);
 
 /** Machine-readable parse-failure class, for callers that branch on
@@ -48,14 +51,15 @@ std::string serializeCorpusEntry(const CorpusEntry &entry);
 enum class CorpusError
 {
     None = 0,
-    Format,     ///< magic, truncation, checksum or field errors
+    Format,     ///< seal, JSON, format tag or member errors
     Version,    ///< forge generator version mismatch
     FutureAxes, ///< axes mask has bits this build doesn't know
 };
 
 /**
- * Parse a serialized entry.  Rejects wrong magic, wrong forge
- * version, truncation, checksum mismatch — and an axes mask
+ * Parse a serialized entry.  Rejects a wrong or missing seal,
+ * malformed JSON, another format, a missing member or one of the
+ * wrong kind, the wrong forge version — and an axes mask
  * carrying bits outside kAllAxes: a same-version file with future
  * axis bits was written by a newer grammar, and silently dropping
  * the bits would replay a different scenario than the one saved.

@@ -111,9 +111,6 @@ class Jit
     /** The (inlined) program being compiled. */
     const BcProgram &program() const { return prog; }
 
-    /** Native instructions emitted by the last compileAll. */
-    std::size_t emittedInsts() const { return nEmitted; }
-
     /** Total bytecodes across all methods (compile-cost model). */
     std::size_t bytecodeCount() const;
 

@@ -110,17 +110,9 @@ class Machine
     /** True if the forward-progress watchdog killed the run. */
     bool watchdogFired() const { return watchdogTripped; }
 
-    /** Loops the governor blacklisted (degraded to solo mode). */
-    const std::unordered_set<std::int32_t> &blacklistedLoops() const
-    {
-        return governorBlacklist;
-    }
-
     /** True while any STL is active (head thread included); compare
      *  speculating(), which excludes the head. */
     bool speculationActive() const { return specActive; }
-    /** CPU owning sequential execution (root-set scans). */
-    std::uint32_t sequentialCpu() const { return seqCpu; }
 
     // ---- differential oracle -----------------------------------------
     /** Copy of the memory pages the run wrote. */
@@ -170,15 +162,8 @@ class Machine
      */
     bool requireNonSpeculative(std::uint32_t cpu);
 
-    /** Direct (uncached, untimed) memory write for host-side phases
-     *  such as the garbage collector; bypasses speculation. */
-    void hostWriteWord(Addr addr, Word v) { mem.writeWord(addr, v); }
-    Word hostReadWord(Addr addr) const { return mem.readWord(addr); }
-
     /** Number of dynamically executed instructions (all CPUs). */
     std::uint64_t instCount() const { return nInsts; }
-    /** Dynamic data-memory operation count (loads + stores). */
-    std::uint64_t memOpCount() const { return nMemOps; }
 
     /** Per-CPU view, for tests. */
     const Core &core(std::uint32_t cpu) const { return cores[cpu]; }
@@ -404,7 +389,6 @@ class Machine
     void noteState(Core &c, TraceState s);
 
     void beginStl(Core &master, std::int32_t loop_id, Pc restart_pc);
-    void endStl(Core &exiting);
     void wakeSlaves(Core &master, Pc entry);
     void parkOthers(std::uint32_t keep_cpu);
     void chargeHandler(Core &c, std::uint32_t cycles);

@@ -95,13 +95,6 @@ class VmRuntime : public RuntimeHooks
     const VmStats &stats() const { return vmStats; }
     const VmConfig &config() const { return cfg; }
 
-    /** Address of static slot @p idx. */
-    Addr
-    staticAddr(std::uint32_t idx) const
-    {
-        return cfg.globalsBase + 4 * idx;
-    }
-
     /**
      * Host-side allocation used to stage input data before the
      * program runs (not charged any cycles).

@@ -86,14 +86,6 @@ foldChecksum(BcBuilder &b, std::uint32_t checksum_slot)
     b.store(checksum_slot);
 }
 
-/** Host-side LCG mirroring lcgNext, for reference computations. */
-inline Word
-hostLcg(Word &seed)
-{
-    seed = seed * 1103515245u + 12345u;
-    return (seed >> 16) & 0x7fff;
-}
-
 /**
  * Push a pseudo-random value derived purely from the loop index in
  * @p i_slot (15-bit range, like lcgNext).  Data-initialization loops

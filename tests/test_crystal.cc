@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -17,6 +20,7 @@
 
 #include "common/metrics.hh"
 #include "crystal/crystal.hh"
+#include "member_mutants.hh"
 #include "workloads/workloads.hh"
 
 namespace jrpm
@@ -50,38 +54,16 @@ sampleEntry()
     e.profilingSlowdown = 1.0789123456789;
     e.profilingCycles = 987654321012345ull;
 
-    LoopProfile lp;
-    lp.loopId = 7;
-    lp.entries = 3;
-    lp.iterations = 1000;
-    lp.skippedEntries = 1;
-    lp.threadSize.sample(123.25);
-    lp.threadSize.sample(456.5);
-    lp.depThreads = 12;
-    lp.arcDistance.sample(1.5);
-    lp.arcStoreOffset.sample(0.125);
-    lp.arcLoadOffset.sample(0.875);
-    lp.arcSites[{false, 0x1234}] = 9;
-    lp.arcSites[{true, 3}] = 2;
-    lp.loadLines.sample(17);
-    lp.storeLines.sample(5);
-    lp.overflowThreads = 4;
-    e.profiles[7] = lp;
-
-    LoopProfile empty;
-    empty.loopId = 11;
-    e.profiles[11] = empty;
-
     SelectedStl sel;
     sel.loopId = 7;
     sel.prediction.loopId = 7;
     sel.prediction.avgThreadSize = 289.875;
     sel.prediction.itersPerEntry = 333.333333333333333;
-    sel.prediction.coverageCycles = 1e9;
-    sel.prediction.depFrequency = 0.012;
+    sel.prediction.coverageCycles = std::nextafter(DBL_MAX, 0.0);
+    sel.prediction.depFrequency = 0.1;
     sel.prediction.avgArcDistance = 1.5;
-    sel.prediction.avgArcSlack = -0.75;
-    sel.prediction.overflowFrequency = 0.004;
+    sel.prediction.avgArcSlack = -0.0;
+    sel.prediction.overflowFrequency = DBL_TRUE_MIN; // subnormal
     sel.prediction.avgLoadLines = 17;
     sel.prediction.avgStoreLines = 5;
     sel.prediction.predictedSpeedup = 2.3456789012345678;
@@ -97,15 +79,12 @@ sampleEntry()
     return e;
 }
 
+/** Doubles must survive bit for bit, which == cannot tell for -0.0. */
 void
-expectStatEq(const SampleStat &a, const SampleStat &b)
+expectSameBits(double a, double b)
 {
-    EXPECT_EQ(a.count(), b.count());
-    EXPECT_EQ(a.sum(), b.sum());
-    EXPECT_EQ(a.mean(), b.mean());
-    EXPECT_EQ(a.m2(), b.m2());
-    EXPECT_EQ(a.min(), b.min());
-    EXPECT_EQ(a.max(), b.max());
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b))
+        << a << " vs " << b;
 }
 
 TEST(CrystalEntry, SerializationRoundTripsExactly)
@@ -121,47 +100,30 @@ TEST(CrystalEntry, SerializationRoundTripsExactly)
     EXPECT_EQ(r.programHash, e.programHash);
     EXPECT_EQ(r.argsHash, e.argsHash);
     EXPECT_EQ(r.configHash, e.configHash);
-    // Doubles must survive bit-for-bit (hex-float round trip).
-    EXPECT_EQ(r.predictedSpeedup, e.predictedSpeedup);
-    EXPECT_EQ(r.profilingSlowdown, e.profilingSlowdown);
+    expectSameBits(r.predictedSpeedup, e.predictedSpeedup);
+    expectSameBits(r.profilingSlowdown, e.profilingSlowdown);
     EXPECT_EQ(r.profilingCycles, e.profilingCycles);
-
-    ASSERT_EQ(r.profiles.size(), e.profiles.size());
-    const LoopProfile &a = e.profiles.at(7);
-    const LoopProfile &b = r.profiles.at(7);
-    EXPECT_EQ(b.loopId, a.loopId);
-    EXPECT_EQ(b.entries, a.entries);
-    EXPECT_EQ(b.iterations, a.iterations);
-    EXPECT_EQ(b.skippedEntries, a.skippedEntries);
-    EXPECT_EQ(b.depThreads, a.depThreads);
-    EXPECT_EQ(b.overflowThreads, a.overflowThreads);
-    expectStatEq(b.threadSize, a.threadSize);
-    expectStatEq(b.arcDistance, a.arcDistance);
-    expectStatEq(b.arcStoreOffset, a.arcStoreOffset);
-    expectStatEq(b.arcLoadOffset, a.arcLoadOffset);
-    expectStatEq(b.loadLines, a.loadLines);
-    expectStatEq(b.storeLines, a.storeLines);
-    ASSERT_EQ(b.arcSites.size(), a.arcSites.size());
-    for (auto ia = a.arcSites.begin(), ib = b.arcSites.begin();
-         ia != a.arcSites.end(); ++ia, ++ib) {
-        EXPECT_EQ(ib->first.isLocal, ia->first.isLocal);
-        EXPECT_EQ(ib->first.id, ia->first.id);
-        EXPECT_EQ(ib->second, ia->second);
-    }
-    EXPECT_TRUE(r.profiles.count(11));
 
     ASSERT_EQ(r.selections.size(), 1u);
     const SelectedStl &sa = e.selections[0];
     const SelectedStl &sb = r.selections[0];
     EXPECT_EQ(sb.loopId, sa.loopId);
-    EXPECT_EQ(sb.prediction.avgThreadSize,
-              sa.prediction.avgThreadSize);
-    EXPECT_EQ(sb.prediction.itersPerEntry,
-              sa.prediction.itersPerEntry);
-    EXPECT_EQ(sb.prediction.avgArcSlack, sa.prediction.avgArcSlack);
-    EXPECT_EQ(sb.prediction.predictedSpeedup,
-              sa.prediction.predictedSpeedup);
-    EXPECT_EQ(sb.prediction.eligible, sa.prediction.eligible);
+    const StlPrediction &pa = sa.prediction, &pb = sb.prediction;
+    EXPECT_EQ(pb.loopId, pa.loopId);
+    for (auto f : {&StlPrediction::avgThreadSize,
+                   &StlPrediction::itersPerEntry,
+                   &StlPrediction::coverageCycles,
+                   &StlPrediction::depFrequency,
+                   &StlPrediction::avgArcDistance,
+                   &StlPrediction::avgArcSlack,
+                   &StlPrediction::overflowFrequency,
+                   &StlPrediction::avgLoadLines,
+                   &StlPrediction::avgStoreLines,
+                   &StlPrediction::predictedSpeedup,
+                   &StlPrediction::predictedTlsCycles})
+        expectSameBits(pb.*f, pa.*f);
+    EXPECT_TRUE(std::signbit(pb.avgArcSlack)) << "-0.0 lost its sign";
+    EXPECT_EQ(pb.eligible, pa.eligible);
     EXPECT_EQ(sb.prediction.reason, sa.prediction.reason);
     EXPECT_EQ(sb.plan.syncLock, sa.plan.syncLock);
     EXPECT_EQ(sb.plan.syncLocalVar, sa.plan.syncLocalVar);
@@ -202,13 +164,36 @@ TEST(CrystalEntry, RejectsCorruption)
 
 TEST(CrystalEntry, RejectsSchemaMismatch)
 {
-    std::string text = sampleEntry().serialize();
-    const std::string magic = "jrpm-crystal v1";
-    ASSERT_EQ(text.compare(0, magic.size(), magic), 0);
-    text.replace(0, magic.size(), "jrpm-crystal v999");
+    CrystalEntry e = sampleEntry();
+    e.schemaVersion = 999;
     CrystalEntry out;
     std::string err;
-    EXPECT_FALSE(CrystalEntry::deserialize(text, out, &err));
+    EXPECT_FALSE(CrystalEntry::deserialize(e.serialize(), out, &err));
+    EXPECT_NE(err.find("schema version mismatch"), std::string::npos)
+        << err;
+}
+
+TEST(CrystalEntry, StoresNoProfiles)
+{
+    // A warm start reads the selections, never TEST's raw profiles.
+    const std::string text = sampleEntry().serialize();
+    for (const char *name :
+         {"profiles", "iterations", "depThreads", "arcSites", "threadSize"})
+        EXPECT_EQ(text.find(name), std::string::npos) << name;
+}
+
+TEST(CrystalEntry, RejectsMissingOrMistypedMembers)
+{
+    const auto mutants = memberMutants(sampleEntry().serialize());
+    // The entry's 10 members, the selection's 3, the prediction's 14
+    // and the plan's 5.
+    ASSERT_EQ(mutants.size(), 2u * 32);
+    for (const auto &[what, text] : mutants) {
+        CrystalEntry out;
+        std::string err;
+        EXPECT_FALSE(CrystalEntry::deserialize(text, out, &err))
+            << "accepted an entry with " << what;
+    }
 }
 
 TEST(CrystalEntry, MatchesComparesComponentHashes)
@@ -336,6 +321,27 @@ TEST(CrystalRepo, QuarantinesCorruptEntriesAside)
     ASSERT_TRUE(repo.store(e));
     EXPECT_TRUE(repo.lookup(e.fingerprint(), out));
     EXPECT_EQ(out.workload, e.workload);
+}
+
+TEST(CrystalRepo, RejectsAndQuarantinesTheOldTextSyntax)
+{
+    TempDir td;
+    CrystalRepo repo(td.path.string());
+    // An entry in the positional text syntax older builds wrote, with
+    // a valid trailing checksum of that syntax.
+    const std::uint64_t fp = crystalFingerprint(1, 2, 3);
+    std::ofstream(repo.pathFor(fp))
+        << "jrpm-crystal v1\nworkload 4 demo\n"
+           "program 0000000000000001 args 0000000000000002 "
+           "config 0000000000000003\n"
+           "predicted 0x1p+0 slowdown 0x1p+0 profcycles 0\n"
+           "profiles 0\nselections 0\nend ab77a1a807583729\n";
+
+    CrystalEntry out;
+    EXPECT_FALSE(repo.lookup(fp, out));
+    EXPECT_EQ(repo.stats().rejects, 1u);
+    EXPECT_EQ(repo.stats().quarantined, 1u);
+    EXPECT_TRUE(std::filesystem::exists(repo.pathFor(fp) + ".corrupt"));
 }
 
 TEST(CrystalRepo, SweepsOnlyStaleWriterTempFiles)

@@ -25,6 +25,7 @@
 #include "common/fault.hh"
 #include "common/hostprof.hh"
 #include "common/obs.hh"
+#include "common/seal.hh"
 #include "fleet/fleet.hh"
 #include "fleet/manifest.hh"
 #include "fleet/wire.hh"
@@ -285,9 +286,7 @@ const char *const kPinnedAnalyticsJson =
     "\"totalSec\":0.000000000,\"selfSec\":0.000000000},{"
     "\"slot\":\"spec_state_clear\",\"parent\":\"squash\",\"ticks\":0,"
     "\"selfTicks\":0,\"scopes\":0,\"totalSec\":0.000000000,"
-    "\"selfSec\":0.000000000},{\"slot\":\"cache_model\","
-    "\"parent\":\"step_exact\",\"ticks\":0,\"selfTicks\":0,\"scopes\":0,"
-    "\"totalSec\":0.000000000,\"selfSec\":0.000000000},{"
+    "\"selfSec\":0.000000000},{"
     "\"slot\":\"trap_runtime\",\"parent\":\"step_exact\",\"ticks\":0,"
     "\"selfTicks\":0,\"scopes\":0,\"totalSec\":0.000000000,"
     "\"selfSec\":0.000000000},{\"slot\":\"oracle_check\","
@@ -297,10 +296,7 @@ const char *const kPinnedAnalyticsJson =
     "\"selfTicks\":0,\"scopes\":0,\"totalSec\":0.000000000,"
     "\"selfSec\":0.000000000},{\"slot\":\"sig_check\","
     "\"parent\":\"step_exact\",\"ticks\":0,\"selfTicks\":0,\"scopes\":0,"
-    "\"totalSec\":0.000000000,\"selfSec\":0.000000000},{"
-    "\"slot\":\"spec_fast_retire\",\"parent\":\"spec_dispatch\",\"ticks\":0,"
-    "\"selfTicks\":0,\"scopes\":0,\"totalSec\":0.000000000,"
-    "\"selfSec\":0.000000000}]}";
+    "\"totalSec\":0.000000000,\"selfSec\":0.000000000}]}";
 
 TEST(CampaignAnalytics, BytesArePinned)
 {
@@ -369,18 +365,17 @@ TEST(FleetWire, RejectsGarbageAndStructuralMismatch)
 
 TEST(FleetManifest, SealedRecordsDetectTearing)
 {
-    const std::string sealed = fleet::sealRecord("case {\"x\":1}");
+    const std::string sealed = sealRecord("case {\"x\":1}");
     std::string body;
-    ASSERT_TRUE(fleet::unsealRecord(sealed, body));
+    ASSERT_TRUE(unsealRecord(sealed, body));
     EXPECT_EQ(body, "case {\"x\":1}");
 
     // Any truncation (the only tear a crashed append can produce)
     // must be detected.
     for (std::size_t n = 1; n < sealed.size(); ++n)
-        EXPECT_FALSE(
-            fleet::unsealRecord(sealed.substr(0, n), body))
+        EXPECT_FALSE(unsealRecord(sealed.substr(0, n), body))
             << "accepted a record torn at byte " << n;
-    EXPECT_FALSE(fleet::unsealRecord("no checksum here", body));
+    EXPECT_FALSE(unsealRecord("no checksum here", body));
 }
 
 TEST(FleetManifest, PersistsAndResumesAcrossReopen)
@@ -499,8 +494,7 @@ TEST(FleetManifest, TornJournalLinesAreSkippedNotFatal)
     // Simulate a crash mid-append: a record cut off before its
     // checksum, plus outright garbage.
     const std::string sealed =
-        fleet::sealRecord("case " +
-                          fleet::caseResultJson(sampleCase(0x12)));
+        sealRecord("case " + fleet::caseResultJson(sampleCase(0x12)));
     append(path + ".journal", sealed.substr(0, sealed.size() / 2));
     append(path + ".journal", "\n@@#garbage line#@@\n");
 

@@ -12,10 +12,12 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <unordered_set>
 
 #include "common/hash.hh"
 #include "common/logging.hh"
+#include "common/seal.hh"
 #include "core/jrpm.hh"
 #include "crystal/crystal.hh"
 #include "forge/campaign.hh"
@@ -23,6 +25,7 @@
 #include "forge/forge.hh"
 #include "forge/shrink.hh"
 #include "forge/weights.hh"
+#include "member_mutants.hh"
 
 namespace jrpm
 {
@@ -276,21 +279,20 @@ TEST(ForgeCorpus, RejectsVersionMismatch)
     std::string text =
         serializeCorpusEntry(forge::makeCorpusEntry(
             forge::generate(3), /*with_exit=*/false));
-    // Patch the version and re-seal the content checksum, so the
-    // rejection tested is the version check, not the checksum.
-    const std::size_t v = text.find(" v1\n");
+    // Patch the version and re-seal the document, so the rejection
+    // tested is the version check, not the checksum.
+    std::string doc;
+    ASSERT_TRUE(unsealDocument(text, doc));
+    const std::size_t v = doc.find("\"version\":1,");
     ASSERT_NE(v, std::string::npos);
-    text.replace(v, 4, " v9\n");
-    const std::size_t chk = text.rfind("check ");
-    ASSERT_NE(chk, std::string::npos);
-    text = text.substr(0, chk) +
-           strfmt("check 0x%016llx\n",
-                  static_cast<unsigned long long>(
-                      fnv1a(text.data(), chk)));
+    doc.replace(v, 12, "\"version\":9,");
+    text = sealDocument(doc);
 
     CorpusEntry out;
     std::string err;
-    EXPECT_FALSE(deserializeCorpusEntry(text, out, &err));
+    forge::CorpusError kind = forge::CorpusError::None;
+    EXPECT_FALSE(deserializeCorpusEntry(text, out, &err, &kind));
+    EXPECT_EQ(kind, forge::CorpusError::Version);
     EXPECT_NE(err.find("version mismatch"), std::string::npos)
         << err;
 }
@@ -303,18 +305,17 @@ TEST(ForgeCorpus, RejectsUnknownFutureAxisBits)
     // the loader must reject with the typed FutureAxes error.
     std::string text = serializeCorpusEntry(forge::makeCorpusEntry(
         forge::generate(6), /*with_exit=*/false));
-    const std::size_t at = text.find("\naxes 0x");
+    // Set a high bit no current axis occupies in the mask and re-seal
+    // the document, so the rejection tested is the axes check, not
+    // the checksum.
+    std::string doc;
+    ASSERT_TRUE(unsealDocument(text, doc));
+    const std::size_t at = doc.find("\"axes\":");
     ASSERT_NE(at, std::string::npos);
-    // Splice a high bit no current axis occupies into the mask and
-    // re-seal the checksum, so the rejection tested is the axes
-    // check, not the checksum.
-    text.insert(at + 8, "200000");
-    const std::size_t chk = text.rfind("check ");
-    ASSERT_NE(chk, std::string::npos);
-    text = text.substr(0, chk) +
-           strfmt("check 0x%016llx\n",
-                  static_cast<unsigned long long>(
-                      fnv1a(text.data(), chk)));
+    const std::size_t end = doc.find(',', at);
+    const unsigned long axes = std::stoul(doc.substr(at + 7, end - at - 7));
+    doc.replace(at + 7, end - at - 7, std::to_string(axes | 1ul << 29));
+    text = sealDocument(doc);
 
     CorpusEntry out;
     std::string err;
@@ -343,16 +344,58 @@ TEST(ForgeCorpus, RejectsCorruptionAndTruncation)
                                /*with_exit=*/false));
     CorpusEntry out;
     std::string err;
+    forge::CorpusError kind = forge::CorpusError::None;
 
     std::string flipped = good;
     flipped[good.size() / 2] ^= 1;
     EXPECT_FALSE(deserializeCorpusEntry(flipped, out, &err));
 
-    EXPECT_FALSE(deserializeCorpusEntry(
-        good.substr(0, good.size() / 2), out, &err));
-    EXPECT_FALSE(deserializeCorpusEntry("", out, &err));
+    // The prefixes crystal's RejectsTruncation chops at, down to the
+    // file minus its final byte.
+    for (std::size_t keep :
+         {good.size() - 1, good.size() - 10, good.size() / 2,
+          std::size_t{16}, std::size_t{0}}) {
+        EXPECT_FALSE(deserializeCorpusEntry(good.substr(0, keep), out,
+                                            &err, &kind))
+            << "accepted a " << keep << "-byte prefix";
+        EXPECT_EQ(kind, forge::CorpusError::Format);
+    }
     EXPECT_FALSE(deserializeCorpusEntry("not a corpus file", out,
                                         &err));
+}
+
+TEST(ForgeCorpus, RejectsMissingOrMistypedMembers)
+{
+    for (const bool with_exit : {true, false}) {
+        const auto mutants = memberMutants(serializeCorpusEntry(
+            forge::makeCorpusEntry(forge::generate(4), with_exit)));
+        ASSERT_GE(mutants.size(), 2u * 12);
+        for (const auto &[what, text] : mutants) {
+            CorpusEntry out;
+            std::string err;
+            forge::CorpusError kind = forge::CorpusError::None;
+            EXPECT_FALSE(deserializeCorpusEntry(text, out, &err, &kind))
+                << "accepted an entry with " << what;
+            EXPECT_EQ(kind, forge::CorpusError::Format) << what;
+        }
+    }
+}
+
+TEST(ForgeCorpus, RejectsTheOldTextSyntax)
+{
+    // A starter entry in the positional text syntax older builds
+    // wrote, with a valid trailing checksum of that syntax.
+    const std::string old =
+        "jrpm-forge v1\nseed 0x0000000000000000\n"
+        "axes 0x91 baseline+reduction+exception\nn 23\n"
+        "init 1 2 3 4 0 0 0\nstmts 2\ns throw 3 7 0 0\n"
+        "s reduction 0 0 0 0\nproghash 0x1b297ebc64ddf02e\n"
+        "exit 0x00000012\ncheck 0x95ab40923960ea90\n";
+    CorpusEntry out;
+    std::string err;
+    forge::CorpusError kind = forge::CorpusError::None;
+    EXPECT_FALSE(deserializeCorpusEntry(old, out, &err, &kind));
+    EXPECT_EQ(kind, forge::CorpusError::Format) << err;
 }
 
 TEST(ForgeCorpus, FileRoundTripAndListing)
@@ -459,6 +502,26 @@ TEST(ForgeStarter, CheckedInCorpusReplaysCleanly)
         EXPECT_TRUE(cr.ok) << path << ": " << cr.error;
         EXPECT_FALSE(cr.failing(false)) << path << ": " << cr.detail;
     }
+}
+
+TEST(ForgeStarter, CheckedInCorpusIsWhatEmitStarterWrites)
+{
+    // bench_forge_campaign --emit-starter writes exactly these bytes
+    // under exactly these names; a writer change must regenerate
+    // tests/corpus/ rather than leave it in an older format.
+    std::vector<std::string> want;
+    for (const ScenarioSpec &spec : forge::starterScenarios()) {
+        const CorpusEntry e = forge::makeCorpusEntry(spec);
+        const std::string path =
+            std::string(JRPM_FORGE_CORPUS_DIR) + "/" + e.fileName();
+        want.push_back(path);
+        std::ifstream in(path, std::ios::binary);
+        std::ostringstream bytes;
+        bytes << in.rdbuf();
+        EXPECT_EQ(bytes.str(), serializeCorpusEntry(e)) << path;
+    }
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(forge::listCorpus(JRPM_FORGE_CORPUS_DIR), want);
 }
 
 // ---- campaign runner --------------------------------------------------
