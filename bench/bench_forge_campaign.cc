@@ -293,9 +293,9 @@ workerMain(const Options &opt, const forge::CampaignConfig &cc)
     // exact specs the in-process guided campaign would.
     forge::WeightBank bank;
     const bool weighted = !opt.weights.empty();
-    if (weighted &&
-        !forge::WeightBank::deserialize(opt.weights, bank))
-        fatal("bad --weights '%s'", opt.weights.c_str());
+    std::string why;
+    if (weighted && !forge::WeightBank::fromJson(opt.weights, bank, &why))
+        fatal("bad --weights '%s': %s", opt.weights.c_str(), why.c_str());
     for (std::uint64_t s = lo; s < hi; ++s) {
         // "Starting" marks the suspect seed if we die mid-case.
         std::printf("S %016" PRIx64 "\n", s);

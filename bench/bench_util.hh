@@ -27,7 +27,8 @@
  *   --guided             coverage-guided generation (forge campaign)
  *   --guided-batch=<n>   cases per guided weight-update batch
  *   --distill=<dir>      distill the campaign to a signature corpus
- *   --weights=<bank>     worker-mode weight bank (fleet internal)
+ *   --weights=<bank>     worker-mode weight bank, a JSON array (fleet
+ *                        internal)
  */
 
 #ifndef JRPM_BENCH_BENCH_UTIL_HH

@@ -3,10 +3,13 @@
 
 The manifest is the pair of files src/fleet/manifest.hh describes: a
 checkpointed snapshot (`<path>`) plus an append-only journal
-(`<path>.journal`), every line sealed with a trailing
-` crc <fnv64-hex>`.  This tool re-implements the loader
-independently of the C++ code, so CI can cross-check the orchestrator
-rather than trust its own accounting:
+(`<path>.journal`).  Every line is one JSON object whose single
+member names the record type (config, case, poison, repro, weights)
+and holds its payload, sealed with a trailing ` crc <fnv64-hex>`.
+This tool re-implements the loader independently of the C++ code, so
+CI can cross-check the orchestrator rather than trust its own
+accounting.  A line that fails its seal, does not parse, or lacks a
+member its type requires counts as torn:
 
   # Human summary: config, progress, quarantine list, torn lines.
   fleet_manifest.py build/fleet.manifest
@@ -25,6 +28,7 @@ Exit status: 0 when every requested check holds, 1 otherwise.
 """
 
 import argparse
+import json
 import os
 import sys
 
@@ -55,52 +59,64 @@ def unseal(line: str):
     return body
 
 
+def no_duplicates(pairs):
+    """object_pairs_hook: a member named twice fails, as in the C++
+    parser."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        raise ValueError("duplicate member")
+    return obj
+
+
+def seed_of(body):
+    """The 16-hex-digit `seed` member of a record's payload, or None."""
+    seed = body.get("seed")
+    if not isinstance(seed, str) or len(seed) != 16:
+        return None
+    try:
+        return int(seed, 16)
+    except ValueError:
+        return None
+
+
+def is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 class Manifest:
     def __init__(self):
         self.config = None
-        self.completed = {}   # seed -> raw case json
+        self.completed = {}   # seed -> case payload
         self.poisoned = {}    # seed -> (attempts, cause, repro)
+        self.weights = {}     # batch -> bank
         self.torn = 0
         self.conflicts = []
 
-    def apply(self, rec: str, require_header: bool, saw_header: bool):
-        kind, _, rest = rec.partition(" ")
-        if kind == "config":
-            if self.config is None:
-                self.config = rest
-            elif self.config != rest:
-                self.conflicts.append(rest)
-            return True
-        if require_header and not saw_header:
-            self.torn += 1
-            return True
-        if kind == "case":
-            at = rec.find("{")
-            seed_key = '"seed":"'
-            s = rec.find(seed_key, at)
-            if at < 0 or s < 0:
-                return False
-            s += len(seed_key)
-            seed = int(rec[s:s + 16], 16)
-            self.completed[seed] = rec[at:]
-            return True
-        if kind == "poison":
-            toks = rest.split(" ", 2)
-            if len(toks) < 3:
-                return False
-            seed = int(toks[0], 16)
+    def apply(self, kind, body):
+        """Apply one record other than config; False if it does not
+        read."""
+        if not isinstance(body, dict):
+            return False
+        seed = seed_of(body)
+        attempts, cause = body.get("attempts"), body.get("cause")
+        path, bank = body.get("path"), body.get("bank")
+        if kind == "case" and seed is not None:
+            self.completed[seed] = body
+        elif kind == "poison" and seed is not None and is_int(attempts) \
+                and isinstance(cause, str):
             prev = self.poisoned.get(seed, (0, "", ""))
-            self.poisoned[seed] = (int(toks[1]), toks[2], prev[2])
-            return True
-        if kind == "repro":
-            toks = rest.split(" ", 1)
-            if len(toks) < 2:
-                return False
-            seed = int(toks[0], 16)
+            self.poisoned[seed] = (attempts, cause, prev[2])
+        elif kind == "repro" and seed is not None \
+                and isinstance(path, str):
             prev = self.poisoned.get(seed, (0, "", ""))
-            self.poisoned[seed] = (prev[0], prev[1], toks[1])
-            return True
-        return False
+            self.poisoned[seed] = (prev[0], prev[1], path)
+        elif kind == "weights" and is_int(body.get("batch")) \
+                and isinstance(bank, list) \
+                and all(is_int(w) and w > 0 for w in bank):
+            self.weights[body["batch"]] = bank
+        else:
+            return False
+        return True
 
     def load_file(self, path: str, require_header: bool):
         if not os.path.exists(path):
@@ -112,13 +128,24 @@ class Manifest:
                 if not line:
                     continue
                 rec = unseal(line)
-                if rec is None:
+                try:
+                    doc = json.loads(rec, object_pairs_hook=no_duplicates)
+                except (TypeError, ValueError):
+                    doc = None
+                if not isinstance(doc, dict) or len(doc) != 1:
                     self.torn += 1
                     continue
-                if not self.apply(rec, require_header, saw_header):
-                    self.torn += 1
-                if rec.startswith("config "):
+                (kind, body), = doc.items()
+                if kind == "config" and isinstance(body, str):
+                    if self.config is None:
+                        self.config = body
+                    elif self.config != body:
+                        self.conflicts.append(body)
                     saw_header = True
+                elif require_header and not saw_header:
+                    self.torn += 1
+                elif not self.apply(kind, body):
+                    self.torn += 1
 
 
 def load(path: str) -> Manifest:
@@ -152,6 +179,7 @@ def main() -> int:
     print(f"config   : {m.config or '<missing>'}")
     print(f"completed: {len(m.completed)}")
     print(f"poisoned : {len(m.poisoned)}")
+    print(f"weights  : {len(m.weights)}")
     print(f"torn     : {m.torn}")
     for seed, (attempts, cause, repro) in sorted(m.poisoned.items()):
         print(f"  poison seed {seed:016x}: {attempts} attempts, "

@@ -46,7 +46,9 @@ const char *const kNames[kNumSlots] = {
     "sig_check",      // SigCheck
 };
 
-// Declared display hierarchy (see slotParent doc in the header).
+// Declared parent of each slot, for rendering (flamegraph grouping):
+// the canonical hierarchy, -1 for roots.  Dynamic nesting can differ;
+// self times are computed from actual nesting.
 const int kParents[kNumSlots] = {
     -1,                                   // Pipeline
     static_cast<int>(HostSlot::Pipeline), // JitCompile
@@ -68,18 +70,6 @@ const int kParents[kNumSlots] = {
 };
 
 } // namespace
-
-const char *
-slotName(std::size_t slot)
-{
-    return slot < kNumSlots ? kNames[slot] : "?";
-}
-
-int
-slotParent(std::size_t slot)
-{
-    return slot < kNumSlots ? kParents[slot] : -1;
-}
 
 void
 setEnabled(bool on)

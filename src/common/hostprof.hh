@@ -58,16 +58,6 @@ enum class HostSlot : std::uint8_t
 
 inline constexpr std::size_t kNumSlots = 17;
 
-/** Short stable name for a slot ("machine_run", "dep_check", ...). */
-const char *slotName(std::size_t slot);
-
-/**
- * Declared parent used for rendering (flamegraph grouping).  Dynamic
- * nesting can differ (self times are computed from actual nesting);
- * this is the canonical hierarchy for display.  Returns -1 for roots.
- */
-int slotParent(std::size_t slot);
-
 /** Master switch.  Relaxed; readable from any thread. */
 extern std::atomic<bool> gEnabled;
 

@@ -180,7 +180,13 @@ class JsonParser
                 if (pos >= s.size() || s[pos] != ':')
                     return error("expected ':'");
                 ++pos;
-                if (!value(out.fields[key]))
+                // A repeated member would merge into the first (a
+                // string appends, an array grows), so it is refused.
+                const auto [member, fresh] = out.fields.try_emplace(key);
+                if (!fresh)
+                    return error(
+                        strfmt("duplicate member '%s'", key.c_str()).c_str());
+                if (!value(member->second))
                     return false;
                 skipWs();
                 if (pos < s.size() && s[pos] == ',') {
@@ -339,19 +345,13 @@ jsonParse(const std::string &text, JsonValue &out, std::string *err,
 
 // ---- strict member reads ----------------------------------------------
 
-namespace
-{
-
-/** True when @p v is a number holding an integer in [lo, hi]. */
 bool
-integerIn(const JsonValue &v, std::int64_t lo, std::int64_t hi)
+jsonIsInteger(const JsonValue &v, std::int64_t lo, std::int64_t hi)
 {
     return v.kind == JsonValue::Kind::Number &&
            v.num >= static_cast<double>(lo) &&
            v.num <= static_cast<double>(hi) && v.num == std::trunc(v.num);
 }
-
-} // namespace
 
 JsonMembers::JsonMembers(const JsonValue &object, std::string &e)
     : obj(object), err(e)
@@ -397,7 +397,7 @@ std::int64_t
 JsonMembers::integer(const char *key, std::int64_t lo, std::int64_t hi)
 {
     const JsonValue &v = get(key, JsonValue::Kind::Number);
-    if (ok() && !integerIn(v, lo, hi))
+    if (ok() && !jsonIsInteger(v, lo, hi))
         fail(key, "is not an integer in range");
     return ok() ? static_cast<std::int64_t>(v.num) : 0;
 }
@@ -411,7 +411,7 @@ JsonMembers::integers(const char *key, std::size_t count,
         fail(key, strfmt("does not hold %zu elements", count));
     std::vector<std::int64_t> out(count, 0);
     for (std::size_t i = 0; ok() && i < count; ++i) {
-        if (integerIn(items[i], lo, hi))
+        if (jsonIsInteger(items[i], lo, hi))
             out[i] = static_cast<std::int64_t>(items[i].num);
         else
             fail(key, "holds an element that is not an integer in range");

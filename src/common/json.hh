@@ -25,6 +25,9 @@ namespace jrpm
  * A parsed JSON value, so exported reports can be read back and
  * asserted on (round-trip tests, replay tooling) without an external
  * dependency: null, bool, double numbers, strings, arrays, objects.
+ * Its lookups are lenient (an absent member reads as null, zero or
+ * false), for tests and clients reading the server's own responses;
+ * readers of files and peers go through JsonMembers.
  */
 struct JsonValue
 {
@@ -62,8 +65,9 @@ struct JsonLimits
 };
 
 /** Parse one JSON document.  @return false (and *err) on malformed
- *  input, including trailing garbage, over-deep nesting and inputs
- *  exceeding @p limits.  \\u escapes decode to UTF-8. */
+ *  input, including trailing garbage, a member named twice in one
+ *  object, over-deep nesting and inputs exceeding @p limits.  \\u
+ *  escapes decode to UTF-8. */
 bool jsonParse(const std::string &text, JsonValue &out,
                std::string *err = nullptr,
                const JsonLimits &limits = {});
@@ -72,13 +76,17 @@ bool jsonParse(const std::string &text, JsonValue &out,
  *  (2^53), so the largest a document read back can carry exactly. */
 inline constexpr std::int64_t kJsonMaxExactInt = std::int64_t{1} << 53;
 
+/** True when @p v is a number holding an integer in [@p lo, @p hi]:
+ *  the check JsonMembers::integer() makes, for array elements. */
+bool jsonIsInteger(const JsonValue &v, std::int64_t lo, std::int64_t hi);
+
 /**
  * Strict reads of a parsed object's members, for documents read back
- * from disk.  A member that is absent or of the wrong kind, or a
- * number that is not an integer in the range asked for, is an error,
- * never a zero.  The first error is kept in the string the reader was
- * built with, which readers made by object() share; reads after an
- * error return zero values.
+ * from disk and frames from peers.  A member that is absent or of the
+ * wrong kind, or a number that is not an integer in the range asked
+ * for, is an error, never a zero.  The first error is kept in the
+ * string the reader was built with, which readers made by object()
+ * share; reads after an error return zero values.
  */
 class JsonMembers
 {
@@ -87,6 +95,9 @@ class JsonMembers
     JsonMembers(const JsonValue &object, std::string &err);
 
     bool ok() const { return err.empty(); }
+    /** Whether member @p key is present, of any kind: how a reader
+     *  tells an optional member's absence from a wrong value. */
+    bool has(const char *key) const { return obj.fields.count(key) != 0; }
 
     double number(const char *key);
     /** An integral number in [@p lo, @p hi]. */

@@ -476,8 +476,6 @@ JrpmSystem::runPipeline()
         }
     }
 
-    rep.topViolations = rep.tls.stats.topViolationAddrs(10);
-
     // Crystal post-run bookkeeping: crystallize cold results, and
     // demote warm entries that failed to deliver.
     if (repo) {

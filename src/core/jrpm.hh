@@ -169,9 +169,6 @@ struct JrpmReport
     double totalSpeedup = 1.0;       ///< Fig. 9
     bool outputsMatch = false;       ///< TLS == sequential results
     OracleReport oracle;             ///< differential verdict
-
-    /** Hottest violating store addresses of the TLS run, count-desc. */
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> topViolations;
 };
 
 /** The Jrpm system instance for one workload. */

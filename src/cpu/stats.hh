@@ -7,14 +7,11 @@
 #ifndef JRPM_CPU_STATS_HH
 #define JRPM_CPU_STATS_HH
 
-#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "common/stats.hh"
 
@@ -279,23 +276,6 @@ struct ExecStats
         } else {
             ++violationAddrsDropped;
         }
-    }
-
-    /** The @p n most violation-prone addresses, hottest first. */
-    std::vector<std::pair<std::uint64_t, std::uint64_t>>
-    topViolationAddrs(std::size_t n) const
-    {
-        std::vector<std::pair<std::uint64_t, std::uint64_t>> v(
-            violationAddrs.begin(), violationAddrs.end());
-        std::sort(v.begin(), v.end(),
-                  [](const auto &a, const auto &b) {
-                      return a.second != b.second
-                                 ? a.second > b.second
-                                 : a.first < b.first;
-                  });
-        if (v.size() > n)
-            v.resize(n);
-        return v;
     }
 
     double

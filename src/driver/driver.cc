@@ -93,14 +93,6 @@ BatchDriver::run(std::vector<DriverJob> jobs)
     auto runCase = [&](std::size_t i) {
         DriverJob &job = jobs[i];
         DriverResult &res = results[i];
-        // Batch-case boundary: a cancelled batch (cancel frame,
-        // expired per-request deadline) skips every case that has
-        // not started yet instead of leaking a running worker.
-        if (cfg.cancel.stopRequested()) {
-            const char *why = cfg.cancel.why();
-            res.error = *why ? why : "cancelled";
-            return;
-        }
         if (cfg.progress)
             inform("driver: job %zu/%zu: %s", i + 1, n,
                    job.workload.name.c_str());

@@ -16,10 +16,9 @@
  * driver, the service's request run and both fleet-worker modes call
  * it, so a fatal() or an exception fails that job, not the process.
  *
- * Cancellation: a batch can carry a CancelToken; it is polled at
- * batch-case boundaries, so cancelling (or an expired deadline)
- * turns every not-yet-started case into a per-case error instead of
- * leaking running workers for the rest of the batch.
+ * Cancellation belongs to a job, not to a batch: a job's
+ * JrpmConfig::cancel token (a service request's own) is polled by its
+ * pipeline, which stops with a per-job error.
  */
 
 #ifndef JRPM_DRIVER_DRIVER_HH
@@ -31,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "common/cancel.hh"
 #include "core/jrpm.hh"
 #include "crystal/crystal.hh"
 
@@ -50,10 +48,6 @@ struct DriverConfig
     WarmMode warm = WarmMode::Auto;
     /** Per-job progress lines via inform(). */
     bool progress = false;
-    /** Optional batch-wide cancel/deadline token, polled at case
-     *  boundaries; cancelled cases report error "cancelled" (or
-     *  "deadline").  Empty = never cancelled. */
-    CancelToken cancel;
 };
 
 /** One unit of work: a workload plus its full pipeline config. */

@@ -502,16 +502,15 @@ runFleet(const FleetConfig &cfg)
             // rebroadcasts the bank at exactly those boundaries.
             const std::uint32_t batchIdx = static_cast<std::uint32_t>(
                 first / std::max(camp.guidedBatch, 1u));
-            const std::string ser = bank.serialize();
             const auto prev = manifest.weights().find(batchIdx);
-            if (prev != manifest.weights().end() &&
-                prev->second != ser)
+            if (prev != manifest.weights().end() && prev->second != bank)
                 fatal("fleet: guided resume diverged at batch %u "
-                      "(journal '%s', recomputed '%s')",
-                      batchIdx, prev->second.c_str(), ser.c_str());
+                      "(journal %s, recomputed %s)",
+                      batchIdx, prev->second.json().c_str(),
+                      bank.json().c_str());
             if (prev == manifest.weights().end())
-                manifest.recordWeights(batchIdx, ser);
-            extraWorkerArgs = {"--weights=" + ser};
+                manifest.recordWeights(batchIdx, bank);
+            extraWorkerArgs = {"--weights=" + bank.json()};
         }
         enqueueUncovered(camp.seed + first, camp.seed + first + count);
         drain();
@@ -589,8 +588,14 @@ runFleet(const FleetConfig &cfg)
             },
             so);
         std::remove(candPath.c_str());
-        const std::string outDir =
+        // Absolute, so the manifest's repro record reads back from any
+        // working directory.
+        const std::string dir =
             camp.corpusOut.empty() ? forensics : camp.corpusOut;
+        std::error_code cwdErr;
+        const std::string absDir =
+            std::filesystem::absolute(dir, cwdErr).string();
+        const std::string outDir = cwdErr ? dir : absDir;
         f.shrunk = sr.spec;
         f.shrinkProbes = sr.probes;
         f.corpusPath = forge::writeCorpusEntry(

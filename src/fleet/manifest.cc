@@ -1,10 +1,9 @@
 #include "manifest.hh"
 
 #include <cerrno>
-#include <cstdlib>
+#include <cinttypes>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 
 #include <unistd.h>
 
@@ -40,84 +39,105 @@ CampaignManifest::openJournal(bool truncate)
               manifestPath.c_str(), std::strerror(errno));
 }
 
-bool
-CampaignManifest::applyRecord(const std::string &rec,
-                              std::string *why)
+namespace
 {
-    std::istringstream in(rec);
-    std::string type;
-    in >> type;
-    if (type == "config") {
-        // Handled by the caller (load) — config must come first.
-        *why = "config record out of position";
-        return false;
-    }
+
+/** A record of type @p type: a JSON object whose one member, named
+ *  @p type, is written next. */
+JsonWriter
+record(const char *type)
+{
+    JsonWriter w;
+    w.beginObject().key(type);
+    return w;
+}
+
+std::string
+configRecord(const std::string &identity)
+{
+    return record("config").value(identity).endObject().take();
+}
+
+std::string
+caseRecord(const forge::CaseResult &cr)
+{
+    return record("case").raw(caseResultJson(cr)).endObject().take();
+}
+
+std::string
+poisonRecord(const PoisonRecord &p)
+{
+    JsonWriter w = record("poison");
+    w.beginObject().field("seed", strfmt("%016" PRIx64, p.seed));
+    w.field("attempts", p.attempts).field("cause", p.cause);
+    return w.endObject().endObject().take();
+}
+
+std::string
+reproRecord(std::uint64_t seed, const std::string &path)
+{
+    JsonWriter w = record("repro");
+    w.beginObject().field("seed", strfmt("%016" PRIx64, seed));
+    w.field("path", path);
+    return w.endObject().endObject().take();
+}
+
+std::string
+weightsRecord(std::uint32_t batch, const forge::WeightBank &bank)
+{
+    JsonWriter w = record("weights");
+    w.beginObject().field("batch", batch).key("bank").raw(bank.json());
+    return w.endObject().endObject().take();
+}
+
+} // namespace
+
+bool
+CampaignManifest::applyRecord(const std::string &type,
+                              const JsonValue &payload, std::string &why)
+{
     if (type == "case") {
-        const std::size_t at = rec.find('{');
-        if (at == std::string::npos) {
-            *why = "case record without JSON";
-            return false;
-        }
         forge::CaseResult cr;
-        if (!caseResultFromJson(rec.substr(at), cr, why))
+        if (!caseResultFromJson(payload, cr, &why))
             return false;
         cases[cr.seed] = std::move(cr); // by-seed dedupe on replay
         return true;
     }
+    JsonMembers m(payload, why);
     if (type == "poison") {
         PoisonRecord p;
-        std::string seedtok;
-        in >> seedtok >> p.attempts;
-        char *end = nullptr;
-        p.seed = std::strtoull(seedtok.c_str(), &end, 16);
-        if (!in || end == seedtok.c_str()) {
-            *why = "bad poison record";
+        p.seed = m.hex64("seed");
+        p.attempts =
+            static_cast<std::uint32_t>(m.integer("attempts", 0, UINT32_MAX));
+        p.cause = m.string("cause");
+        if (!m.ok())
             return false;
-        }
-        std::getline(in, p.cause);
-        if (!p.cause.empty() && p.cause.front() == ' ')
-            p.cause.erase(0, 1);
-        // Keep an existing repro path if the poison line replays
-        // after its repro line (maps are rebuilt out of order only
-        // across checkpoint+journal boundaries).
-        p.reproPath = poison.count(p.seed)
-                          ? poison[p.seed].reproPath
-                          : "";
+        // Keep a repro path whose record replayed first (maps are
+        // rebuilt out of order only across checkpoint+journal
+        // boundaries).
+        p.reproPath = poison[p.seed].reproPath;
         poison[p.seed] = std::move(p);
         return true;
     }
     if (type == "repro") {
-        std::string seedtok, path;
-        in >> seedtok >> path;
-        char *end = nullptr;
-        const std::uint64_t seed =
-            std::strtoull(seedtok.c_str(), &end, 16);
-        if (!in || end == seedtok.c_str()) {
-            *why = "bad repro record";
+        const std::uint64_t seed = m.hex64("seed");
+        std::string path = m.string("path");
+        if (!m.ok())
             return false;
-        }
         poison[seed].seed = seed;
-        poison[seed].reproPath = path;
+        poison[seed].reproPath = std::move(path);
         return true;
     }
     if (type == "weights") {
-        std::uint32_t batch = 0;
-        if (!(in >> batch)) {
-            *why = "bad weights record";
+        const auto batch =
+            static_cast<std::uint32_t>(m.integer("batch", 0, UINT32_MAX));
+        const forge::WeightBank bank = forge::WeightBank::read(m, "bank");
+        if (!m.ok())
             return false;
-        }
-        std::string bank;
-        std::getline(in, bank);
-        if (!bank.empty() && bank.front() == ' ')
-            bank.erase(0, 1);
-        if (bank.empty()) {
-            *why = "weights record without bank";
-            return false;
-        }
-        banks[batch] = std::move(bank);
+        banks[batch] = bank;
         return true;
     }
-    *why = "unknown record type '" + type + "'";
+    why = "unknown record type '" + type + "'";
     return false;
 }
 
@@ -152,15 +172,31 @@ CampaignManifest::load(const std::string &expect_config,
                 continue;
             }
             any = true;
-            if (rec.rfind("config ", 0) == 0) {
-                if (rec.substr(7) != expect_config) {
-                    conflictCfg = rec.substr(7);
-                    return FileVerdict::Conflict;
-                }
-                sawHeader = true;
+            // A record is an object whose one member names its type.
+            JsonValue v;
+            std::string why;
+            if (jsonParse(rec, v, &why) &&
+                (v.kind != JsonValue::Kind::Object || v.fields.size() != 1))
+                why = "not an object with one member";
+            if (!why.empty()) {
+                warn("fleet: %s: skipping bad record (%s): %.60s",
+                     path.c_str(), why.c_str(), rec.c_str());
+                ++torn;
                 continue;
             }
-            if (expect_header && !sawHeader) {
+            const auto &[type, payload] = *v.fields.begin();
+            if (type == "config") {
+                const std::string stored =
+                    JsonMembers(v, why).string("config");
+                if (why.empty()) {
+                    if (stored != expect_config) {
+                        conflictCfg = stored;
+                        return FileVerdict::Conflict;
+                    }
+                    sawHeader = true;
+                    continue;
+                }
+            } else if (expect_header && !sawHeader) {
                 // Records before (or without) a header cannot be
                 // trusted to belong to this campaign.
                 warn("fleet: %s: record before config header, "
@@ -168,13 +204,12 @@ CampaignManifest::load(const std::string &expect_config,
                      path.c_str());
                 ++torn;
                 continue;
+            } else if (applyRecord(type, payload, why)) {
+                continue;
             }
-            std::string why;
-            if (!applyRecord(rec, &why)) {
-                warn("fleet: %s: skipping bad record (%s): %.60s",
-                     path.c_str(), why.c_str(), rec.c_str());
-                ++torn;
-            }
+            warn("fleet: %s: skipping bad record (%s): %.60s",
+                 path.c_str(), why.c_str(), rec.c_str());
+            ++torn;
         }
         return any ? FileVerdict::Loaded : FileVerdict::Absent;
     };
@@ -211,7 +246,7 @@ CampaignManifest::load(const std::string &expect_config,
         checkpoint();
     openJournal(/*truncate=*/false);
     if (jr == FileVerdict::Absent)
-        appendJournal("config " + configLine);
+        appendJournal(configRecord(configLine));
     return true;
 }
 
@@ -232,16 +267,14 @@ void
 CampaignManifest::recordCase(const forge::CaseResult &cr)
 {
     cases[cr.seed] = cr;
-    appendJournal("case " + caseResultJson(cr));
+    appendJournal(caseRecord(cr));
 }
 
 void
 CampaignManifest::recordPoison(const PoisonRecord &p)
 {
     poison[p.seed] = p;
-    appendJournal(strfmt("poison %016llx %u %s",
-                         static_cast<unsigned long long>(p.seed),
-                         p.attempts, p.cause.c_str()));
+    appendJournal(poisonRecord(p));
 }
 
 void
@@ -250,17 +283,15 @@ CampaignManifest::recordRepro(std::uint64_t seed,
 {
     poison[seed].seed = seed;
     poison[seed].reproPath = path;
-    appendJournal(strfmt("repro %016llx %s",
-                         static_cast<unsigned long long>(seed),
-                         path.c_str()));
+    appendJournal(reproRecord(seed, path));
 }
 
 void
 CampaignManifest::recordWeights(std::uint32_t batch,
-                                const std::string &bank)
+                                const forge::WeightBank &bank)
 {
     banks[batch] = bank;
-    appendJournal(strfmt("weights %u %s", batch, bank.c_str()));
+    appendJournal(weightsRecord(batch, bank));
 }
 
 void
@@ -273,26 +304,20 @@ CampaignManifest::checkpoint()
              std::strerror(errno));
         return;
     }
-    std::string text = sealRecord("config " + configLine) + "\n";
+    std::string text;
+    auto line = [&text](const std::string &record) {
+        text += sealRecord(record) + "\n";
+    };
+    line(configRecord(configLine));
     for (const auto &[seed, cr] : cases)
-        text += sealRecord("case " + caseResultJson(cr)) + "\n";
+        line(caseRecord(cr));
     for (const auto &[seed, p] : poison) {
-        text += sealRecord(strfmt(
-                    "poison %016llx %u %s",
-                    static_cast<unsigned long long>(seed),
-                    p.attempts, p.cause.c_str())) +
-                "\n";
+        line(poisonRecord(p));
         if (!p.reproPath.empty())
-            text += sealRecord(strfmt(
-                        "repro %016llx %s",
-                        static_cast<unsigned long long>(seed),
-                        p.reproPath.c_str())) +
-                    "\n";
+            line(reproRecord(seed, p.reproPath));
     }
     for (const auto &[batch, bank] : banks)
-        text += sealRecord(strfmt("weights %u %s", batch,
-                                  bank.c_str())) +
-                "\n";
+        line(weightsRecord(batch, bank));
     const bool ok =
         std::fwrite(text.data(), 1, text.size(), f) == text.size() &&
         std::fflush(f) == 0 && ::fsync(::fileno(f)) == 0;
@@ -306,7 +331,7 @@ CampaignManifest::checkpoint()
     // The snapshot owns every journaled record now; start the
     // journal over (with a fresh header).
     openJournal(/*truncate=*/true);
-    appendJournal("config " + configLine);
+    appendJournal(configRecord(configLine));
 }
 
 } // namespace fleet

@@ -15,28 +15,30 @@
  *    a checkpoint the journal is truncated (its records are in the
  *    snapshot now).
  *
- * Every line in both files carries a trailing ` crc <fnv64-hex>`
- * over the rest of the line (sealRecord(), common/seal.hh).  A crash
- * can tear at most the final journal line; load() verifies each
- * line, skips (and counts) torn or corrupt ones, and de-duplicates
- * by seed — replaying "checkpoint then journal" is therefore
- * idempotent.  A checkpoint whose header
- * is unreadable is discarded wholesale (with a warning); the journal
- * alone still restores every record appended since the last
- * truncation, and set semantics keep coverage exactly-once because
- * lost seeds are simply re-run deterministically.
+ * Every line in both files is one record: a JSON object whose single
+ * member names the record's type and holds its payload, sealed with a
+ * trailing ` crc <fnv64-hex>` over the rest of the line (sealRecord(),
+ * common/seal.hh).  A crash can tear at most the final journal line;
+ * load() verifies each line, reads it strictly (JsonMembers), skips
+ * and counts one that is torn, corrupt or malformed, and
+ * de-duplicates by seed — replaying "checkpoint then journal" is
+ * therefore idempotent.  A checkpoint whose header is unreadable is
+ * discarded wholesale (with a warning); the journal alone still
+ * restores every record appended since the last truncation, and set
+ * semantics keep coverage exactly-once because lost seeds are simply
+ * re-run deterministically.
  *
- * Record types:
- *  - `config <text>`            campaign identity; resume refuses a
- *                               mismatch (different seed/cases would
- *                               silently corrupt coverage)
- *  - `case <json>`              one completed case (wire.hh format)
- *  - `poison <seedhex> <attempts> <cause...>`  quarantined case
- *  - `repro <seedhex> <path>`   shrunk repro for a poison case
- *  - `weights <batch> <bank>`   guided campaign: the WeightBank
- *                               entering batch `<batch>`, serialized
- *                               (weights.hh); rebroadcast at every
- *                               checkpoint boundary
+ * Record types, each written by one function for both files:
+ *  - `{"config":"<identity>"}`  campaign identity; resume refuses a
+ *    mismatch (different seed/cases would silently corrupt coverage)
+ *  - `{"case":{...}}`  one completed case (wire.hh format)
+ *  - `{"poison":{"seed":"<16 hex>","attempts":2,"cause":"signal 6"}}`
+ *    a quarantined case
+ *  - `{"repro":{"seed":"<16 hex>","path":"/abs/path"}}`  the shrunk
+ *    repro of a quarantined case
+ *  - `{"weights":{"batch":0,"bank":[...]}}`  guided campaign: the
+ *    WeightBank entering batch `batch` (weights.hh); rebroadcast at
+ *    every checkpoint boundary
  */
 
 #ifndef JRPM_FLEET_MANIFEST_HH
@@ -47,6 +49,7 @@
 #include <map>
 #include <string>
 
+#include "common/json.hh"
 #include "forge/campaign.hh"
 
 namespace jrpm
@@ -93,7 +96,7 @@ class CampaignManifest
     /** Journal the shrunk repro path for a quarantined case. */
     void recordRepro(std::uint64_t seed, const std::string &path);
     /** Journal the WeightBank entering guided batch @p batch. */
-    void recordWeights(std::uint32_t batch, const std::string &bank);
+    void recordWeights(std::uint32_t batch, const forge::WeightBank &bank);
 
     /** Snapshot everything to the checkpoint (atomic replace +
      *  fsync) and truncate the journal. */
@@ -112,7 +115,7 @@ class CampaignManifest
     }
 
     /** Guided-campaign weight banks by batch index. */
-    const std::map<std::uint32_t, std::string> &
+    const std::map<std::uint32_t, forge::WeightBank> &
     weights() const
     {
         return banks;
@@ -123,15 +126,17 @@ class CampaignManifest
   private:
     void appendJournal(const std::string &record);
     void openJournal(bool truncate);
-    /** Apply one verified record line; returns false on parse
-     *  trouble (caller counts it as torn). */
-    bool applyRecord(const std::string &line, std::string *why);
+    /** Apply the @p payload of one record of type @p type (not
+     *  config); false (and @p why) when it does not read, and the
+     *  caller counts it as torn. */
+    bool applyRecord(const std::string &type, const JsonValue &payload,
+                     std::string &why);
 
     std::string manifestPath;
     std::string configLine;
     std::map<std::uint64_t, forge::CaseResult> cases;
     std::map<std::uint64_t, PoisonRecord> poison;
-    std::map<std::uint32_t, std::string> banks;
+    std::map<std::uint32_t, forge::WeightBank> banks;
     std::FILE *journal = nullptr;
     bool resumedFlag = false;
     std::uint32_t torn = 0;

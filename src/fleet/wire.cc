@@ -1,12 +1,13 @@
 #include "wire.hh"
 
+#include <algorithm>
 #include <cinttypes>
-#include <cstdlib>
+#include <cstdint>
+#include <limits>
 #include <type_traits>
 
 #include "common/logging.hh"
 #include "core/report_json.hh"
-#include "forge/signature.hh"
 
 namespace jrpm
 {
@@ -48,84 +49,90 @@ caseResultJson(const forge::CaseResult &cr)
 namespace
 {
 
+/** Bound on the (loop, squashes) rows one case record may carry. */
+constexpr std::size_t kMaxLoopSquashes = 1u << 16;
+
+/** The largest value of unsigned @p T a record carries exactly. */
 template <class T>
-T
-fieldOf(const JsonValue &v)
+constexpr std::int64_t
+maxOf()
+{
+    static_assert(std::is_unsigned_v<T>);
+    return static_cast<std::int64_t>(std::min<std::uint64_t>(
+        std::numeric_limits<T>::max(), kJsonMaxExactInt));
+}
+
+/** Read member @p key of @p m into @p out by the member's type. */
+template <class T>
+void
+readMember(JsonMembers &m, const char *key, T &out)
 {
     if constexpr (std::is_same_v<T, bool>)
-        return v.boolean();
+        out = m.boolean(key);
     else if constexpr (std::is_same_v<T, std::string>)
-        return v.str;
+        out = m.string(key);
+    else if constexpr (std::is_floating_point_v<T>)
+        out = m.number(key);
     else
-        return static_cast<T>(v.number());
+        out = static_cast<T>(m.integer(key, 0, maxOf<T>()));
+}
+
+/** An array member of counters into @p out, one per element. */
+template <std::size_t N>
+void
+readCounters(JsonMembers &m, const char *key,
+             std::array<std::uint64_t, N> &out)
+{
+    const std::vector<std::int64_t> v =
+        m.integers(key, N, 0, maxOf<std::uint64_t>());
+    for (std::size_t i = 0; i < N; ++i)
+        out[i] = static_cast<std::uint64_t>(v[i]);
 }
 
 } // namespace
+
+bool
+caseResultFromJson(const JsonValue &record, forge::CaseResult &out,
+                   std::string *err)
+{
+    std::string why;
+    JsonMembers m(record, why);
+    forge::CaseResult cr;
+    cr.seed = m.hex64("seed");
+#define JRPM_WIRE_IN(type, member, ...) readMember(m, #member, cr.member);
+    JRPM_CASE_OUTCOME(JRPM_WIRE_IN)
+    JRPM_CASE_TELEMETRY(JRPM_WIRE_IN)
+#undef JRPM_WIRE_IN
+    readCounters(m, "squashCauses", cr.squashCauses);
+    readCounters(m, "violationsByClass", cr.violationsByClass);
+    for (const JsonValue &row : m.array("loopSquashes", kMaxLoopSquashes)) {
+        if (row.kind != JsonValue::Kind::Array || row.items.size() != 2 ||
+            !jsonIsInteger(row.items[0], INT32_MIN, INT32_MAX) ||
+            !jsonIsInteger(row.items[1], 0, maxOf<std::uint64_t>())) {
+            why = "member 'loopSquashes' holds a row that is not "
+                  "[loopId, squashes]";
+            break;
+        }
+        cr.loopSquashes.emplace_back(
+            static_cast<std::int32_t>(row.items[0].num),
+            static_cast<std::uint64_t>(row.items[1].num));
+    }
+    cr.sigHash = m.hex64("sigHash");
+    if (!m.ok()) {
+        if (err)
+            *err = why;
+        return false;
+    }
+    out = std::move(cr);
+    return true;
+}
 
 bool
 caseResultFromJson(const std::string &text, forge::CaseResult &out,
                    std::string *err)
 {
     JsonValue v;
-    if (!jsonParse(text, v, err))
-        return false;
-    auto fail = [&](const char *why) {
-        if (err)
-            *err = why;
-        return false;
-    };
-    if (v.kind != JsonValue::Kind::Object)
-        return fail("case record is not an object");
-    if (v["seed"].kind != JsonValue::Kind::String)
-        return fail("case record has no seed");
-
-    forge::CaseResult cr;
-    char *end = nullptr;
-    cr.seed = std::strtoull(v["seed"].str.c_str(), &end, 16);
-    if (end == v["seed"].str.c_str() || *end)
-        return fail("unparseable seed");
-#define JRPM_WIRE_IN(type, member, ...) cr.member = fieldOf<type>(v[#member]);
-    JRPM_CASE_OUTCOME(JRPM_WIRE_IN)
-    JRPM_CASE_TELEMETRY(JRPM_WIRE_IN)
-#undef JRPM_WIRE_IN
-
-    const JsonValue &sc = v["squashCauses"];
-    if (sc.kind != JsonValue::Kind::Array ||
-        sc.items.size() != kNumSquashCauses)
-        return fail("bad squashCauses array");
-    for (std::size_t c = 0; c < kNumSquashCauses; ++c)
-        cr.squashCauses[c] = fieldOf<std::uint64_t>(sc.at(c));
-    const JsonValue &vc = v["violationsByClass"];
-    if (vc.kind != JsonValue::Kind::Array ||
-        vc.items.size() != kNumAddrClasses)
-        return fail("bad violationsByClass array");
-    for (std::size_t c = 0; c < kNumAddrClasses; ++c)
-        cr.violationsByClass[c] = fieldOf<std::uint64_t>(vc.at(c));
-    const JsonValue &ls = v["loopSquashes"];
-    if (ls.kind != JsonValue::Kind::Array)
-        return fail("bad loopSquashes array");
-    for (const JsonValue &pair : ls.items) {
-        if (pair.kind != JsonValue::Kind::Array ||
-            pair.items.size() != 2)
-            return fail("bad loopSquashes pair");
-        cr.loopSquashes.emplace_back(fieldOf<std::int32_t>(pair.at(0)),
-                                     fieldOf<std::uint64_t>(pair.at(1)));
-    }
-
-    if (v["sigHash"].kind == JsonValue::Kind::String) {
-        end = nullptr;
-        cr.sigHash =
-            std::strtoull(v["sigHash"].str.c_str(), &end, 16);
-        if (end == v["sigHash"].str.c_str() || *end)
-            return fail("unparseable sigHash");
-    } else {
-        // Record from a pre-signature worker: the signature is a
-        // pure function of the wire fields, so recompute it.
-        cr.sigHash = forge::signatureOf(cr).hash();
-    }
-
-    out = std::move(cr);
-    return true;
+    return jsonParse(text, v, err) && caseResultFromJson(v, out, err);
 }
 
 } // namespace fleet

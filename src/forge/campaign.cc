@@ -356,7 +356,7 @@ runCampaign(const CampaignConfig &cfg, const CampaignExecutor &exec)
                     cfg.seed + done + i, cfg.axes, bank));
             const std::vector<bool> ran =
                 exec.runBatch(res.specs, done, n, bank, res.results);
-            std::vector<std::pair<std::uint32_t, std::uint64_t>> obs;
+            BatchObservations obs;
             obs.reserve(n);
             for (std::uint32_t i = 0; i < n; ++i)
                 if (ran[i])
@@ -365,7 +365,7 @@ runCampaign(const CampaignConfig &cfg, const CampaignExecutor &exec)
             applyBatch(bank, seen, obs);
             done += n;
         }
-        res.weightBank = bank.serialize();
+        res.weightBank = bank.json();
     }
 
     std::unordered_set<std::uint64_t> sigs;

@@ -199,7 +199,8 @@ struct CampaignResult
     std::vector<CampaignFailure> failing;
     /** Distinct behaviour-signature hashes over all cases. */
     std::uint32_t distinctSignatures = 0;
-    /** Final serialized WeightBank ("" unless guided). */
+    /** The final WeightBank as JSON, WeightBank::json() ("" unless
+     *  guided). */
     std::string weightBank;
     FleetTallies fleet;
 

@@ -1,13 +1,9 @@
 #include "weights.hh"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
-#include <cstdlib>
-#include <sstream>
 
 #include "common/hash.hh"
-#include "common/logging.hh"
+#include "common/json.hh"
 
 namespace jrpm
 {
@@ -28,35 +24,45 @@ WeightBank::update(std::uint32_t novel_kinds,
 }
 
 std::string
-WeightBank::serialize() const
+WeightBank::json() const
 {
-    std::string s = "wb1";
-    for (std::uint32_t w : weights)
-        s += strfmt(" %x", w);
-    return s;
+    JsonWriter w;
+    w.beginArray();
+    for (std::uint32_t v : weights)
+        w.value(v);
+    return w.endArray().take();
+}
+
+WeightBank
+WeightBank::read(JsonMembers &m, const char *key)
+{
+    const std::vector<std::int64_t> v =
+        m.integers(key, kNumStmtKinds, 1, kMax);
+    WeightBank b;
+    for (std::uint32_t k = 0; k < kNumStmtKinds; ++k)
+        b.weights[k] = static_cast<std::uint32_t>(v[k]);
+    return b;
 }
 
 bool
-WeightBank::deserialize(const std::string &text, WeightBank &out)
+WeightBank::fromJson(const std::string &text, WeightBank &out,
+                     std::string *err)
 {
-    std::istringstream in(text);
-    std::string magic;
-    if (!(in >> magic) || magic != "wb1")
-        return false;
+    // The bare array, read as the one member of an object so that
+    // read() checks it.
+    JsonValue doc;
+    doc.kind = JsonValue::Kind::Object;
+    std::string why;
     WeightBank b;
-    for (std::uint32_t k = 0; k < kNumStmtKinds; ++k) {
-        std::string tok;
-        if (!(in >> tok))
-            return false;
-        char *end = nullptr;
-        const unsigned long v = std::strtoul(tok.c_str(), &end, 16);
-        if (end == tok.c_str() || *end || v == 0 || v > kMax)
-            return false;
-        b.weights[k] = static_cast<std::uint32_t>(v);
+    if (jsonParse(text, doc.fields["bank"], &why)) {
+        JsonMembers m(doc, why);
+        b = read(m, "bank");
     }
-    std::string extra;
-    if (in >> extra)
+    if (!why.empty()) {
+        if (err)
+            *err = why;
         return false;
+    }
     out = b;
     return true;
 }
@@ -71,9 +77,8 @@ kindsOf(const ScenarioSpec &spec)
 }
 
 void
-applyBatch(
-    WeightBank &bank, std::unordered_set<std::uint64_t> &seen,
-    const std::vector<std::pair<std::uint32_t, std::uint64_t>> &obs)
+applyBatch(WeightBank &bank, std::unordered_set<std::uint64_t> &seen,
+           const BatchObservations &obs)
 {
     std::uint32_t novel = 0, appeared = 0;
     for (const auto &[kinds, sig] : obs) {

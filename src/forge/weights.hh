@@ -19,9 +19,10 @@
  * campaign with a fixed seed is exactly replayable: the same seed
  * yields the same batches, signatures, updates and final bank on any
  * worker count (the update happens at batch barriers, never
- * concurrently).  serialize()/deserialize() round-trip the bank
- * byte-identically through the fleet's checkpoint journal so a
- * resumed campaign re-enters the same trajectory.
+ * concurrently).  The bank travels as JSON, an array of the
+ * kNumStmtKinds weights in StmtKind order: json() writes it, and the
+ * fleet hands it to workers (`--weights=`) and journals it in its
+ * manifest, so a resumed campaign re-enters the same trajectory.
  *
  * generateWeighted() preserves the frozen Rng stream contract
  * (common/random.hh): exactly one draw selects the statement kind
@@ -44,6 +45,9 @@
 
 namespace jrpm
 {
+
+class JsonMembers;
+
 namespace forge
 {
 
@@ -82,11 +86,15 @@ class WeightBank
      */
     void update(std::uint32_t novel_kinds, std::uint32_t seen_kinds);
 
-    /** Canonical text form: "wb1 <hex>*kNumStmtKinds". */
-    std::string serialize() const;
-    /** Parse serialize()'s output.  @return false on malformed or
-     *  wrong-version input (@p out untouched then). */
-    static bool deserialize(const std::string &text, WeightBank &out);
+    /** The bank as JSON: `[w0,w1,...]`, one weight per StmtKind. */
+    std::string json() const;
+    /** Member @p key of @p m as a bank: an array of exactly
+     *  kNumStmtKinds integers in [1, kMax], else an error in @p m. */
+    static WeightBank read(JsonMembers &m, const char *key);
+    /** Parse json()'s output.  @return false (and *err) on anything
+     *  read() rejects; @p out is untouched then. */
+    static bool fromJson(const std::string &text, WeightBank &out,
+                         std::string *err = nullptr);
 
     /** Stable FNV-1a identity of the bank state. */
     std::uint64_t hash() const;
@@ -115,18 +123,22 @@ ScenarioSpec generateWeighted(std::uint64_t seed,
 /** StmtKind bitmask of a scenario's body (bit k = kind k used). */
 std::uint32_t kindsOf(const ScenarioSpec &spec);
 
+/** One batch's (kinds bitmask, signature hash) observations, one per
+ *  case that ran, in seed order. */
+using BatchObservations =
+    std::vector<std::pair<std::uint32_t, std::uint64_t>>;
+
 /**
- * Fold one batch of (kinds bitmask, signature hash) observations
- * into @p bank: walk @p obs in order, inserting each hash into
- * @p seen; kinds of cases whose hash was new accumulate as novel,
- * all appearing kinds as seen; then apply exactly one update().
+ * Fold one batch of observations into @p bank: walk @p obs in
+ * order, inserting each hash into @p seen; kinds of cases whose hash
+ * was new accumulate as novel, all appearing kinds as seen; then
+ * apply exactly one update().
  * This is THE batch-boundary step of runCampaign()'s guided loop,
  * whichever executor runs the batches (thread pool or fleet), so
  * both follow the same deterministic weight trajectory.
  */
-void applyBatch(
-    WeightBank &bank, std::unordered_set<std::uint64_t> &seen,
-    const std::vector<std::pair<std::uint32_t, std::uint64_t>> &obs);
+void applyBatch(WeightBank &bank, std::unordered_set<std::uint64_t> &seen,
+                const BatchObservations &obs);
 
 } // namespace forge
 } // namespace jrpm

@@ -2,7 +2,6 @@
 
 #include <cerrno>
 #include <cinttypes>
-#include <cstdlib>
 #include <cstring>
 
 #include <arpa/inet.h>
@@ -119,21 +118,6 @@ requestJson(const Request &r)
     return w.endObject().take();
 }
 
-namespace
-{
-
-bool
-fieldU64(const JsonValue &v, const char *key, std::uint64_t &out)
-{
-    const JsonValue &f = v[key];
-    if (f.kind != JsonValue::Kind::Number || f.num < 0)
-        return false;
-    out = static_cast<std::uint64_t>(f.num);
-    return true;
-}
-
-} // namespace
-
 bool
 requestFromJson(const std::string &text, Request &out,
                 std::string *err, bool *version_mismatch)
@@ -141,91 +125,70 @@ requestFromJson(const std::string &text, Request &out,
     if (version_mismatch)
         *version_mismatch = false;
     JsonValue v;
-    std::string perr;
-    if (!jsonParse(text, v, &perr)) {
+    std::string why;
+    if (!jsonParse(text, v, &why)) {
         if (err)
-            *err = "malformed request: " + perr;
+            *err = "malformed request: " + why;
         return false;
     }
-    if (v.kind != JsonValue::Kind::Object) {
-        if (err)
-            *err = "request is not a JSON object";
-        return false;
-    }
+    // Every member is read strictly: a missing required member, or
+    // one of the wrong kind or out of its field's range, fails the
+    // request with a diagnostic that names it.
+    JsonMembers m(v, why);
     Request r;
-    if (v["v"].kind != JsonValue::Kind::Number) {
-        if (err)
-            *err = "missing protocol version field \"v\"";
-        return false;
-    }
-    r.version = static_cast<std::uint32_t>(v["v"].num);
-    std::uint64_t id = 0;
-    fieldU64(v, "id", id);
-    r.id = id;
-    if (r.version != kProtocolVersion) {
+    auto fail = [&] {
         out = r; // id/version available for the error response
+        if (err)
+            *err = why;
+        return false;
+    };
+    r.id = static_cast<std::uint64_t>(m.integer("id", 0, kJsonMaxExactInt));
+    r.version = static_cast<std::uint32_t>(m.integer("v", 0, UINT32_MAX));
+    if (!m.ok())
+        return fail();
+    if (r.version != kProtocolVersion) {
         if (version_mismatch)
             *version_mismatch = true;
-        if (err)
-            *err = strfmt("protocol version %u, server speaks %u",
-                          r.version, kProtocolVersion);
-        return false;
+        why = strfmt("protocol version %u, server speaks %u", r.version,
+                     kProtocolVersion);
+        return fail();
     }
-    const std::string &kind = v["kind"].str;
-    if (kind == "submit") {
-        r.kind = ReqKind::Submit;
-    } else if (kind == "status") {
-        r.kind = ReqKind::Status;
-    } else if (kind == "cancel") {
-        r.kind = ReqKind::Cancel;
-    } else if (kind == "stats") {
-        r.kind = ReqKind::Stats;
-    } else if (kind == "shutdown") {
-        r.kind = ReqKind::Shutdown;
-    } else {
-        out = r;
-        if (err)
-            *err = kind.empty() ? "missing request kind"
-                                : "unknown request kind '" + kind +
-                                      "'";
-        return false;
-    }
+    const std::string kind = m.string("kind");
+    bool known = false;
+    for (ReqKind c : {ReqKind::Submit, ReqKind::Status, ReqKind::Cancel,
+                      ReqKind::Stats, ReqKind::Shutdown})
+        if (kind == reqKindName(c)) {
+            r.kind = c;
+            known = true;
+        }
+    if (m.ok() && !known)
+        why = "unknown request kind '" + kind + "'";
+    if (!m.ok())
+        return fail();
 
     if (r.kind == ReqKind::Submit) {
-        r.workload = v["workload"].str;
-        const JsonValue &seed = v["seed"];
-        if (seed.kind == JsonValue::Kind::String) {
-            char *end = nullptr;
-            r.seed = std::strtoull(seed.str.c_str(), &end, 16);
-            if (end == seed.str.c_str() || *end != '\0') {
-                out = r;
-                if (err)
-                    *err = "seed is not a hex string";
-                return false;
-            }
-            r.haveSeed = true;
-        } else if (seed.kind == JsonValue::Kind::Number) {
-            r.seed = static_cast<std::uint64_t>(seed.num);
-            r.haveSeed = true;
-        }
-        if (v["axes"].kind == JsonValue::Kind::Number)
-            r.axes = static_cast<std::uint32_t>(v["axes"].num);
-        if (v["deadlineMs"].kind == JsonValue::Kind::Number)
-            r.deadlineMs =
-                static_cast<std::uint32_t>(v["deadlineMs"].num);
-        r.warm = v["warm"].str;
-        if (v["debugSleepMs"].kind == JsonValue::Kind::Number)
-            r.debugSleepMs =
-                static_cast<std::uint32_t>(v["debugSleepMs"].num);
+        if (m.has("workload"))
+            r.workload = m.string("workload");
+        r.haveSeed = m.has("seed");
+        if (r.haveSeed)
+            r.seed = m.hex64("seed");
+        if (m.has("axes"))
+            r.axes = static_cast<std::uint32_t>(
+                m.integer("axes", 0, forge::kAllAxes));
+        if (m.has("deadlineMs"))
+            r.deadlineMs = static_cast<std::uint32_t>(
+                m.integer("deadlineMs", 0, UINT32_MAX));
+        if (m.has("warm"))
+            r.warm = m.string("warm");
+        if (m.has("debugSleepMs"))
+            r.debugSleepMs = static_cast<std::uint32_t>(
+                m.integer("debugSleepMs", 0, kMaxDebugSleepMs));
     }
-    if (r.kind == ReqKind::Status || r.kind == ReqKind::Cancel) {
-        if (!fieldU64(v, "target", r.target)) {
-            out = r;
-            if (err)
-                *err = "missing numeric target";
-            return false;
-        }
-    }
+    if (r.kind == ReqKind::Status || r.kind == ReqKind::Cancel)
+        r.target = static_cast<std::uint64_t>(
+            m.integer("target", 0, kJsonMaxExactInt));
+    if (!m.ok())
+        return fail();
     out = r;
     return true;
 }

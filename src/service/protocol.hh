@@ -17,12 +17,19 @@
  *
  *   kind      | payload
  *   ----------|-----------------------------------------------------
- *   submit    | workload=<name> or seed=<forge seed> [+axes], plus
- *             | optional deadlineMs / warm / debugSleepMs
+ *   submit    | workload=<name> or seed=<forge seed, 16 hex digits
+ *             | in a string> [+axes], plus optional deadlineMs /
+ *             | warm / debugSleepMs (at most kMaxDebugSleepMs)
  *   status    | target=<request id> -> queued|running|done|unknown
  *   cancel    | target=<request id> -> cancels its token
  *   stats     | (none) -> scheduler/cache/server counters
  *   shutdown  | (none) -> graceful drain, then close
+ *
+ * `v`, `id`, `kind` and a status/cancel `target` are required.  Every
+ * member is read strictly: numbers are integers in their field's range
+ * (`axes` within forge::kAllAxes), strings are strings, and a missing,
+ * mistyped or out-of-range member answers a typed `bad-request` that
+ * names it, on a connection that stays open.
  *
  * Responses carry kind ("result", "ok", "stats", "error") and a
  * status code; "busy" is the 503-style admission reject.  A submit
@@ -50,6 +57,10 @@ constexpr std::uint32_t kProtocolVersion = 1;
 
 /** Default cap on one frame's payload bytes. */
 constexpr std::size_t kDefaultMaxFrame = 16u << 20;
+
+/** Cap on a submit's debugSleepMs: a load test holds a worker for
+ *  seconds, never for days. */
+constexpr std::uint32_t kMaxDebugSleepMs = 60'000;
 
 // ---- framing ----------------------------------------------------------
 
@@ -133,10 +144,11 @@ std::string requestJson(const Request &r);
 
 /**
  * Decode one request payload.  Fails (with a diagnostic carrying
- * the byte offset for parse errors) on malformed JSON, a missing or
- * unknown kind, or a non-numeric version; a *version mismatch* is
- * reported separately so the server can answer with a typed
- * "bad-version" error instead of a parse failure.
+ * the byte offset for parse errors, or naming the member) on
+ * malformed JSON, an unknown kind, or a member that is missing,
+ * mistyped or out of range (see the table above); a *version
+ * mismatch* is reported separately so the server can answer with a
+ * typed "bad-version" error instead of a parse failure.
  * @param out valid only on success
  * @param version_mismatch set when the frame decoded cleanly but
  *        carries a different protocol version
@@ -192,7 +204,6 @@ class ServiceClient
 
     /** Connect to 127.0.0.1:@p port. */
     bool connect(std::uint16_t port, std::string *err = nullptr);
-    bool connected() const { return fd >= 0; }
     void close();
 
     /** The raw socket, for callers multiplexing with poll(2). */

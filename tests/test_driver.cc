@@ -10,9 +10,7 @@
 
 #include <cstdio>
 #include <filesystem>
-#include <chrono>
 #include <stdexcept>
-#include <thread>
 
 #include "common/logging.hh"
 #include "core/report_json.hh"
@@ -236,69 +234,6 @@ TEST(BatchDriver, EmptyBatchAndOwnedRepo)
     EXPECT_TRUE(driver.run({}).empty());
     ASSERT_NE(driver.repo(), nullptr);
     EXPECT_EQ(driver.repo()->dir(), td.path.string());
-}
-
-TEST(BatchDriver, PreCancelledBatchSkipsEveryCase)
-{
-    const auto ws = quickWorkloads();
-    DriverConfig dc;
-    dc.jobs = 2;
-    dc.cancel = CancelToken::make();
-    dc.cancel.cancel();
-    const auto res = BatchDriver(dc).run(jobsFor(ws, JrpmConfig{}));
-    ASSERT_EQ(res.size(), ws.size());
-    for (const DriverResult &r : res) {
-        EXPECT_FALSE(r.ok);
-        EXPECT_EQ(r.error, "cancelled");
-    }
-}
-
-TEST(BatchDriver, MidBatchCancelStopsRemainingCases)
-{
-    // 12 copies of one workload, 1 worker: the first case's custom
-    // body fires the token, so later cases must be skipped at the
-    // batch-case boundary.
-    Workload w = wl::workloadByName("BitOps");
-    if (!w.profileArgs.empty()) {
-        w.mainArgs = w.profileArgs;
-        w.profileArgs.clear();
-    }
-    DriverConfig dc;
-    dc.jobs = 1;
-    dc.cancel = CancelToken::make();
-    CancelToken token = dc.cancel;
-
-    std::vector<DriverJob> jobs = jobsFor({w, w, w}, JrpmConfig{});
-    for (int i = 0; i < 9; ++i)
-        jobs.push_back(jobs.back());
-    jobs[0].custom = [token]() mutable -> JrpmReport {
-        token.cancel();
-        return JrpmReport{};
-    };
-
-    const auto res = BatchDriver(dc).run(std::move(jobs));
-    ASSERT_EQ(res.size(), 12u);
-    EXPECT_TRUE(res[0].ok);
-    for (std::size_t i = 1; i < res.size(); ++i) {
-        SCOPED_TRACE(i);
-        EXPECT_FALSE(res[i].ok);
-        EXPECT_EQ(res[i].error, "cancelled");
-    }
-}
-
-TEST(BatchDriver, ExpiredDeadlineReportsDeadline)
-{
-    const auto ws = quickWorkloads();
-    DriverConfig dc;
-    dc.jobs = 2;
-    dc.cancel = CancelToken::make();
-    dc.cancel.setDeadlineAfterMs(1);
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    const auto res = BatchDriver(dc).run(jobsFor(ws, JrpmConfig{}));
-    for (const DriverResult &r : res) {
-        EXPECT_FALSE(r.ok);
-        EXPECT_EQ(r.error, "deadline");
-    }
 }
 
 /** The job pool must not perturb output bytes: any worker count

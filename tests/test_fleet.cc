@@ -13,6 +13,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -31,8 +32,8 @@
 #include "fleet/wire.hh"
 #include "forge/campaign.hh"
 #include "forge/corpus.hh"
-#include "forge/signature.hh"
 #include "forge/weights.hh"
+#include "member_mutants.hh"
 
 namespace jrpm
 {
@@ -330,26 +331,28 @@ TEST(CampaignAnalytics, BytesArePinned)
               kPinnedAnalyticsJson);
 }
 
-TEST(FleetWire, MissingSigHashIsRecomputedNotRejected)
+TEST(FleetWire, MissingOrMistypedMemberIsRejected)
 {
-    // Manifests journaled before the signature field existed carry no
-    // sigHash — the parser must self-heal by recomputing it from the
-    // wire fields (signatureOf is a pure function of them) rather
-    // than reject the record or leave the hash zero.
-    forge::CaseResult in = sampleCase(0x51);
-    in.sigHash = 0;
-    std::string json = fleet::caseResultJson(in);
-    const std::size_t at = json.find(",\"sigHash\"");
-    ASSERT_NE(at, std::string::npos);
-    const std::size_t end = json.find('}', at);
-    ASSERT_NE(end, std::string::npos);
-    json.erase(at, end - at);
-
-    forge::CaseResult out;
-    std::string err;
-    ASSERT_TRUE(fleet::caseResultFromJson(json, out, &err)) << err;
-    EXPECT_EQ(out.sigHash, forge::signatureOf(out).hash());
-    EXPECT_NE(out.sigHash, 0u);
+    // Every worker is the supervisor's own binary and writes every
+    // member, sigHash included, so a record short of one is no
+    // record: it must fail, not read as zeros.
+    const auto mutants = memberMutants(
+        sealDocument(fleet::caseResultJson(sampleCase(0x51))));
+    std::size_t members = 5; // seed, the three arrays, sigHash
+#define JRPM_COUNT_MEMBER(...) ++members;
+    JRPM_CASE_OUTCOME(JRPM_COUNT_MEMBER)
+    JRPM_CASE_TELEMETRY(JRPM_COUNT_MEMBER)
+#undef JRPM_COUNT_MEMBER
+    EXPECT_EQ(mutants.size(), 2 * members);
+    for (const auto &[what, sealed] : mutants) {
+        std::string doc, err;
+        ASSERT_TRUE(unsealDocument(sealed, doc)) << what;
+        forge::CaseResult out = sampleCase(0x7);
+        EXPECT_FALSE(fleet::caseResultFromJson(doc, out, &err)) << what;
+        EXPECT_NE(err.find("member '"), std::string::npos)
+            << what << ": " << err;
+        expectSameCase(out, sampleCase(0x7)); // untouched on failure
+    }
 }
 
 TEST(FleetWire, RejectsGarbageAndStructuralMismatch)
@@ -361,14 +364,37 @@ TEST(FleetWire, RejectsGarbageAndStructuralMismatch)
     // A syntactically valid object missing the required fields.
     EXPECT_FALSE(fleet::caseResultFromJson("{\"seed\":5}", out,
                                            &err));
+
+    // Well-formed records whose values do not fit their fields.
+    const std::string good = fleet::caseResultJson(sampleCase(0x51));
+    ASSERT_TRUE(fleet::caseResultFromJson(good, out, &err)) << err;
+    auto with = [&](const std::string &from, const std::string &to) {
+        std::string s = good;
+        const std::size_t at = s.find(from);
+        EXPECT_NE(at, std::string::npos) << from;
+        return at == std::string::npos ? s : s.replace(at, from.size(), to);
+    };
+    for (const std::string &bad :
+         {with("\"stmts\":17", "\"stmts\":-1"),
+          with("\"axes\":421", "\"axes\":4294967296"),
+          with("\"seqCycles\":123456789", "\"seqCycles\":1.5"),
+          with("\"seqCycles\":123456789", "\"seqCycles\":1e300"),
+          with("\"stmts\":17", "\"stmts\":17,\"stmts\":18"),
+          with("\"seed\":\"0000000000000051\"", "\"seed\":\"51\""),
+          with("\"squashCauses\":[100,", "\"squashCauses\":[-100,"),
+          with("\"squashCauses\":[100,", "\"squashCauses\":["),
+          with("\"loopSquashes\":[[0,7]", "\"loopSquashes\":[[0,7,1]"),
+          with("\"loopSquashes\":[[0,7]", "\"loopSquashes\":[[2147483648,7]"),
+          with("\"loopSquashes\":[[0,7]", "\"loopSquashes\":[7]")})
+        EXPECT_FALSE(fleet::caseResultFromJson(bad, out, &err)) << bad;
 }
 
 TEST(FleetManifest, SealedRecordsDetectTearing)
 {
-    const std::string sealed = sealRecord("case {\"x\":1}");
+    const std::string sealed = sealRecord("{\"case\":{\"x\":1}}");
     std::string body;
     ASSERT_TRUE(unsealRecord(sealed, body));
-    EXPECT_EQ(body, "case {\"x\":1}");
+    EXPECT_EQ(body, "{\"case\":{\"x\":1}}");
 
     // Any truncation (the only tear a crashed append can produce)
     // must be detected.
@@ -378,12 +404,35 @@ TEST(FleetManifest, SealedRecordsDetectTearing)
     EXPECT_FALSE(unsealRecord("no checksum here", body));
 }
 
-TEST(FleetManifest, PersistsAndResumesAcrossReopen)
+TEST(FleetManifest, EveryRecordTypeRoundTripsThroughJournalAndCheckpoint)
 {
     const std::string dir = makeTempDir();
     const std::string path = dir + "/manifest";
-    const std::string config = "seed 5eed cases 4";
+    const std::string config = "seed 5eed cases 4 plan \"a b\"";
+    const std::string repro = dir + "/my repros/forge-3.scenario";
+    fleet::PoisonRecord poison;
+    poison.seed = 3;
+    poison.attempts = 2;
+    poison.cause = "signal 6 — \"abort\" in \\dir\\";
+    forge::WeightBank bank;
+    bank.update(/*novel=*/0x13, /*appeared=*/0x1f);
 
+    auto expectEveryRecord = [&](const fleet::CampaignManifest &m) {
+        EXPECT_TRUE(m.resumed());
+        EXPECT_EQ(m.tornRecords(), 0u);
+        ASSERT_EQ(m.completed().size(), 2u);
+        expectSameCase(m.completed().at(1), sampleCase(1));
+        expectSameCase(m.completed().at(2), sampleCase(2));
+        ASSERT_EQ(m.poisoned().size(), 1u);
+        const fleet::PoisonRecord &p = m.poisoned().at(3);
+        EXPECT_EQ(p.seed, 3u);
+        EXPECT_EQ(p.attempts, 2u);
+        EXPECT_EQ(p.cause, poison.cause);
+        EXPECT_EQ(p.reproPath, repro);
+        ASSERT_EQ(m.weights().size(), 2u);
+        EXPECT_TRUE(m.weights().at(0) == forge::WeightBank());
+        EXPECT_TRUE(m.weights().at(1) == bank);
+    };
     {
         fleet::CampaignManifest m(path);
         std::string err;
@@ -391,94 +440,36 @@ TEST(FleetManifest, PersistsAndResumesAcrossReopen)
         EXPECT_FALSE(m.resumed());
         m.recordCase(sampleCase(1));
         m.recordCase(sampleCase(2));
-        fleet::PoisonRecord p;
-        p.seed = 3;
-        p.attempts = 2;
-        p.cause = "signal 11";
-        m.recordPoison(p);
-        m.recordRepro(3, dir + "/repro.scenario");
+        m.recordPoison(poison);
+        m.recordRepro(3, repro);
+        m.recordWeights(0, forge::WeightBank());
+        m.recordWeights(1, bank);
         // No checkpoint(): everything must survive via the journal.
     }
     {
         fleet::CampaignManifest m(path);
         std::string err;
         ASSERT_TRUE(m.load(config, &err)) << err;
-        EXPECT_TRUE(m.resumed());
-        EXPECT_EQ(m.tornRecords(), 0u);
-        ASSERT_EQ(m.completed().size(), 2u);
-        expectSameCase(m.completed().at(1), sampleCase(1));
-        ASSERT_EQ(m.poisoned().size(), 1u);
-        EXPECT_EQ(m.poisoned().at(3).attempts, 2u);
-        EXPECT_EQ(m.poisoned().at(3).cause, "signal 11");
-        EXPECT_EQ(m.poisoned().at(3).reproPath,
-                  dir + "/repro.scenario");
-
+        expectEveryRecord(m);
         // Checkpoint moves the state into the snapshot and empties
         // the journal.
         m.checkpoint();
     }
     const std::string journal = slurp(path + ".journal");
-    EXPECT_EQ(journal.find("case "), std::string::npos)
-        << "checkpoint() must truncate journaled records";
+    EXPECT_EQ(std::count(journal.begin(), journal.end(), '\n'), 1)
+        << "checkpoint() must leave only the journal's header: "
+        << journal;
     {
-        // Double-load after the checkpoint: same state, no torn
-        // records, still exactly one record per seed.
+        // Load after the checkpoint: same state, no torn records,
+        // still exactly one record per seed.
         fleet::CampaignManifest m(path);
         std::string err;
         ASSERT_TRUE(m.load(config, &err)) << err;
-        EXPECT_TRUE(m.resumed());
-        EXPECT_EQ(m.tornRecords(), 0u);
-        EXPECT_EQ(m.completed().size(), 2u);
-        EXPECT_EQ(m.poisoned().size(), 1u);
+        expectEveryRecord(m);
     }
 }
 
-TEST(FleetManifest, WeightRecordsSurviveJournalAndCheckpoint)
-{
-    // The guided fleet journals the weight bank each batch entered
-    // with; the serialized bank must round-trip byte-identically
-    // through both the journal and a checkpoint snapshot (resume
-    // recomputes the bank and fatals on any divergence).
-    const std::string dir = makeTempDir();
-    const std::string path = dir + "/manifest";
-    const std::string config = "seed 5eed cases 64 guided 1";
-
-    forge::WeightBank bank;
-    bank.update(/*novel=*/0x13, /*appeared=*/0x1f);
-    const std::string b0 = forge::WeightBank().serialize();
-    const std::string b1 = bank.serialize();
-    {
-        fleet::CampaignManifest m(path);
-        std::string err;
-        ASSERT_TRUE(m.load(config, &err)) << err;
-        m.recordWeights(0, b0);
-        m.recordWeights(1, b1);
-    }
-    {
-        fleet::CampaignManifest m(path);
-        std::string err;
-        ASSERT_TRUE(m.load(config, &err)) << err;
-        EXPECT_EQ(m.tornRecords(), 0u);
-        ASSERT_EQ(m.weights().size(), 2u);
-        EXPECT_EQ(m.weights().at(0), b0);
-        EXPECT_EQ(m.weights().at(1), b1);
-        forge::WeightBank back;
-        ASSERT_TRUE(
-            forge::WeightBank::deserialize(m.weights().at(1), back));
-        EXPECT_EQ(back, bank);
-        m.checkpoint();
-    }
-    // After the checkpoint the records live in the snapshot.
-    fleet::CampaignManifest m(path);
-    std::string err;
-    ASSERT_TRUE(m.load(config, &err)) << err;
-    EXPECT_EQ(m.tornRecords(), 0u);
-    ASSERT_EQ(m.weights().size(), 2u);
-    EXPECT_EQ(m.weights().at(0), b0);
-    EXPECT_EQ(m.weights().at(1), b1);
-}
-
-TEST(FleetManifest, TornJournalLinesAreSkippedNotFatal)
+TEST(FleetManifest, UnreadableJournalLinesAreSkippedAndCounted)
 {
     const std::string dir = makeTempDir();
     const std::string path = dir + "/manifest";
@@ -493,18 +484,51 @@ TEST(FleetManifest, TornJournalLinesAreSkippedNotFatal)
     }
     // Simulate a crash mid-append: a record cut off before its
     // checksum, plus outright garbage.
-    const std::string sealed =
-        sealRecord("case " + fleet::caseResultJson(sampleCase(0x12)));
+    const std::string sealed = sealRecord(
+        "{\"case\":" + fleet::caseResultJson(sampleCase(0x12)) + "}");
     append(path + ".journal", sealed.substr(0, sealed.size() / 2));
     append(path + ".journal", "\n@@#garbage line#@@\n");
+    std::size_t unreadable = 2;
+
+    // Sealed records that do not read: every record type as the
+    // manifest writes it, with each member in turn missing or of
+    // another kind...
+    {
+        fleet::CampaignManifest m(dir + "/source");
+        std::string err;
+        ASSERT_TRUE(m.load(config, &err)) << err;
+        m.recordCase(sampleCase(0x13));
+        m.recordPoison({0x14, 2, "signal 6", ""});
+        m.recordRepro(0x14, dir + "/r.scenario");
+        m.recordWeights(0, forge::WeightBank());
+    }
+    std::istringstream source(slurp(dir + "/source.journal"));
+    for (std::string line; std::getline(source, line);)
+        for (const auto &[what, mutant] : memberMutants(line + "\n")) {
+            append(path + ".journal", mutant);
+            ++unreadable;
+        }
+    EXPECT_GT(unreadable, 80u) << "every member of every record type";
+    // ...and a campaign's records in the old positional syntax.
+    for (const std::string &old :
+         {"config " + config,
+          "case " + fleet::caseResultJson(sampleCase(0x15)),
+          std::string("poison 0000000000000016 2 signal 6"),
+          std::string("repro 0000000000000016 /tmp/r.scenario"),
+          std::string("weights 0 400 400 400 400 400 400 400 400 400 "
+                      "400 400")}) {
+        append(path + ".journal", sealRecord(old) + "\n");
+        ++unreadable;
+    }
 
     fleet::CampaignManifest m(path);
     std::string err;
     ASSERT_TRUE(m.load(config, &err)) << err;
     EXPECT_EQ(m.completed().size(), 2u)
-        << "torn record must not surface as a completed case";
-    EXPECT_GE(m.tornRecords(), 2u);
-    EXPECT_EQ(m.completed().count(0x12), 0u);
+        << "an unreadable record must not surface as a completed case";
+    EXPECT_TRUE(m.poisoned().empty());
+    EXPECT_TRUE(m.weights().empty());
+    EXPECT_EQ(m.tornRecords(), unreadable);
 }
 
 TEST(FleetManifest, TruncatedCheckpointDegradesToJournal)
@@ -660,54 +684,73 @@ TEST(FleetEndToEnd, HostprofIsRefused)
 
 /** The acceptance experiment: one scenario patched to abort() ends
  *  quarantined with a minimized repro while the rest of the campaign
- *  completes. */
+ *  completes, and a resume reads that repro back. */
 TEST(FleetEndToEnd, AbortingCaseIsQuarantinedWithShrunkRepro)
 {
     const std::string dir = makeTempDir();
-    const std::string manifest = dir + "/m";
     const std::uint64_t poison = 0x5eed + 2;
-    const int rc =
-        runCmd("JRPM_FLEET_ABORT_SEED=5eef " +
-               std::string(JRPM_FLEET_EXE) +
-               " --fleet --manifest=" + manifest +
-               " --cases=4 --jobs=2 --seed=0x5eed"
-               " --corpus-out=" + dir + "/repros"
-               " >" + dir + "/log 2>&1");
-    EXPECT_EQ(rc, 1) << "a quarantined case must fail the campaign: "
-                     << slurp(dir + "/log");
+    // Run from the temporary directory with a relative repro
+    // directory whose name holds a space: the manifest must record
+    // the repro's absolute path, whole.
+    auto campaign = [&](const std::string &log) {
+        return runCmd("cd " + dir + " && JRPM_FLEET_ABORT_SEED=5eef " +
+                      std::string(JRPM_FLEET_EXE) +
+                      " --fleet --manifest=m --cases=4 --jobs=2"
+                      " --seed=0x5eed --corpus-out='my repros' >" +
+                      log + " 2>&1");
+    };
+    EXPECT_EQ(campaign("log"), 1)
+        << "a quarantined case must fail the campaign: "
+        << slurp(dir + "/log");
 
-    fleet::CampaignManifest m(manifest);
-    forge::CampaignConfig cc;
-    cc.cases = 4;
-    cc.seed = 0x5eed;
-    cc.base.oracle.mode = OracleMode::Strict; // the bench default
-    cc.corpusOut = dir + "/repros";
-    std::string err;
-    ASSERT_TRUE(m.load(fleet::fleetConfigIdentity(cc), &err)) << err;
+    fleet::PoisonRecord p;
+    {
+        fleet::CampaignManifest m(dir + "/m");
+        forge::CampaignConfig cc;
+        cc.cases = 4;
+        cc.seed = 0x5eed;
+        cc.base.oracle.mode = OracleMode::Strict; // the bench default
+        std::string err;
+        ASSERT_TRUE(m.load(fleet::fleetConfigIdentity(cc), &err)) << err;
 
-    // Every healthy seed completed; the poison seed did not.
-    EXPECT_EQ(m.completed().size(), 3u);
-    EXPECT_EQ(m.completed().count(poison), 0u);
-    ASSERT_EQ(m.poisoned().count(poison), 1u);
-    const fleet::PoisonRecord &p = m.poisoned().at(poison);
+        // Every healthy seed completed; the poison seed did not.
+        EXPECT_EQ(m.completed().size(), 3u);
+        EXPECT_EQ(m.completed().count(poison), 0u);
+        ASSERT_EQ(m.poisoned().count(poison), 1u);
+        p = m.poisoned().at(poison);
+    }
     EXPECT_EQ(p.attempts, 2u) << "must retry once before poisoning";
-    EXPECT_NE(p.cause.find("signal 6"), std::string::npos)
-        << p.cause;
+    EXPECT_NE(p.cause.find("signal 6"), std::string::npos) << p.cause;
     ASSERT_FALSE(p.reproPath.empty()) << "no shrunk repro recorded";
+    EXPECT_EQ(p.reproPath.front(), '/') << p.reproPath;
+    EXPECT_NE(p.reproPath.find("/my repros/forge-"), std::string::npos)
+        << p.reproPath;
     forge::CorpusEntry repro;
+    std::string err;
     ASSERT_TRUE(forge::readCorpusEntry(p.reproPath, repro, &err))
         << p.reproPath << ": " << err;
 
-    // The summary names the repro with its (shrunk) size.
-    const std::string log = slurp(dir + "/log");
-    const std::string tail = "stmts): " + p.reproPath;
-    const std::size_t at = log.find(tail);
-    ASSERT_NE(at, std::string::npos) << log;
-    const std::size_t open = log.rfind("repro (", at);
-    ASSERT_NE(open, std::string::npos) << log;
-    EXPECT_EQ(std::stoul(log.substr(open + 7, at - open - 7)),
-              repro.spec.body.size())
-        << log;
+    // The summary names the repro, in full, with its (shrunk) size.
+    auto expectSummaryNamesRepro = [&](const std::string &log) {
+        const std::string tail = "stmts): " + p.reproPath + "\n";
+        const std::size_t at = log.find(tail);
+        ASSERT_NE(at, std::string::npos) << log;
+        const std::size_t open = log.rfind("repro (", at);
+        ASSERT_NE(open, std::string::npos) << log;
+        EXPECT_EQ(std::stoul(log.substr(open + 7, at - open - 7)),
+                  repro.spec.body.size())
+            << log;
+    };
+    expectSummaryNamesRepro(slurp(dir + "/log"));
+
+    // A resume runs nothing and reads the same repro back.
+    EXPECT_EQ(campaign("resume.log"), 1) << slurp(dir + "/resume.log");
+    const std::string resumed = slurp(dir + "/resume.log");
+    EXPECT_NE(resumed.find("resumed from manifest"), std::string::npos)
+        << resumed;
+    EXPECT_EQ(resumed.find("cannot read repro"), std::string::npos)
+        << resumed;
+    expectSummaryNamesRepro(resumed);
 }
 
 /** Guided determinism across the process boundary: a guided fleet
@@ -756,10 +799,10 @@ TEST(FleetEndToEnd, GuidedFleetMatchesInProcessCampaign)
     // exactly the final bank of an in-process campaign that stops at
     // the batch-0 barrier.
     ASSERT_EQ(m.weights().size(), 2u);
-    EXPECT_EQ(m.weights().at(0), forge::WeightBank().serialize());
+    EXPECT_TRUE(m.weights().at(0) == forge::WeightBank());
     forge::CampaignConfig first = cc;
     first.cases = 8;
-    EXPECT_EQ(m.weights().at(1),
+    EXPECT_EQ(m.weights().at(1).json(),
               forge::runCampaign(first).weightBank);
 }
 #endif // JRPM_FLEET_EXE

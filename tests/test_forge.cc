@@ -594,14 +594,15 @@ TEST(ForgeGuided, GuidedCampaignConvergesOnMoreSignatures)
         << "guided: " << guided.summary()
         << "unguided: " << unguided.summary();
 
-    // The guided run reports its final bank; it parses back
-    // byte-identically (the fleet journals exactly this string).
+    // The guided run reports its final bank as JSON; it parses back
+    // byte-identically (the fleet journals the same JSON).
     EXPECT_TRUE(unguided.weightBank.empty());
     ASSERT_FALSE(guided.weightBank.empty());
     forge::WeightBank bank;
-    ASSERT_TRUE(
-        forge::WeightBank::deserialize(guided.weightBank, bank));
-    EXPECT_EQ(bank.serialize(), guided.weightBank);
+    std::string err;
+    ASSERT_TRUE(forge::WeightBank::fromJson(guided.weightBank, bank, &err))
+        << err;
+    EXPECT_EQ(bank.json(), guided.weightBank);
     EXPECT_FALSE(bank == forge::WeightBank())
         << "300 cases must have moved at least one weight";
     // Guided scenarios differ from generate(seed): replay uses specs.

@@ -303,6 +303,14 @@ TEST(ReportJson, ParserRejectsMalformedInput)
     EXPECT_FALSE(jsonParse("truex", v, &err));
     EXPECT_FALSE(jsonParse("{\"a\":1} garbage", v, &err));
     EXPECT_FALSE(jsonParse("{\"a\" 1}", v, &err));
+    // A member named twice would otherwise merge into the first: a
+    // string appends, an array grows.
+    EXPECT_FALSE(jsonParse("{\"a\":\"x\",\"a\":\"y\"}", v, &err));
+    EXPECT_NE(err.find("duplicate member 'a'"), std::string::npos) << err;
+    EXPECT_FALSE(jsonParse("{\"b\":[1],\"b\":[2]}", v, &err));
+    EXPECT_NE(err.find("duplicate member 'b'"), std::string::npos) << err;
+    // The same name in sibling objects is no duplicate.
+    EXPECT_TRUE(jsonParse("[{\"a\":1},{\"a\":2}]", v, &err)) << err;
 }
 
 TEST(ReportJson, DepthLimitRejectsDeepNestingCleanly)

@@ -215,6 +215,46 @@ TEST(ServiceProtocol, VersionMismatchIsTyped)
     EXPECT_FALSE(svc::requestFromJson("{\"v\":1,\"id\":5}", out,
                                       &err, &mismatch));
     EXPECT_FALSE(mismatch) << "missing kind is not a version issue";
+    EXPECT_NE(err.find("member 'kind' is missing"), std::string::npos)
+        << err;
+}
+
+/** Requests a lenient reader would accept, each with the member its
+ *  error must name: numbers out of their field's range (a cast to
+ *  unsigned would be undefined behaviour), a fractional version,
+ *  mistyped optional members, and a sleep of 49 days. */
+const std::pair<const char *, const char *> kMalformedRequests[] = {
+    {"{\"v\":1,\"id\":1,\"kind\":\"status\",\"target\":1e30}", "target"},
+    {"{\"v\":1,\"id\":2,\"kind\":\"submit\",\"seed\":-5}", "seed"},
+    {"{\"v\":1,\"id\":3,\"kind\":\"submit\","
+     "\"seed\":\"0000000000000001\",\"axes\":-1}",
+     "axes"},
+    {"{\"v\":1,\"id\":4,\"kind\":\"submit\",\"workload\":\"BitOps\","
+     "\"deadlineMs\":1e300}",
+     "deadlineMs"},
+    {"{\"v\":1.5,\"id\":5,\"kind\":\"stats\"}", "v"},
+    {"{\"v\":1,\"id\":6,\"kind\":\"submit\",\"workload\":7,\"warm\":true}",
+     "workload"},
+    {"{\"v\":1,\"id\":7,\"kind\":\"submit\",\"workload\":\"BitOps\","
+     "\"debugSleepMs\":4294967295}",
+     "debugSleepMs"},
+};
+
+TEST(ServiceProtocol, MistypedOrOutOfRangeMembersAreRejected)
+{
+    std::uint64_t id = 0;
+    for (const auto &[text, member] : kMalformedRequests) {
+        Request out;
+        std::string err;
+        bool mismatch = true;
+        EXPECT_FALSE(svc::requestFromJson(text, out, &err, &mismatch))
+            << text;
+        EXPECT_FALSE(mismatch) << text;
+        EXPECT_NE(err.find(std::string("member '") + member + "'"),
+                  std::string::npos)
+            << text << ": " << err;
+        EXPECT_EQ(out.id, ++id) << "the id survives for the error frame";
+    }
 }
 
 // ---- job pool ---------------------------------------------------------
@@ -344,12 +384,25 @@ TEST(JrpmService, GarbageFrameGetsTypedErrorAndConnectionSurvives)
     EXPECT_NE(v["detail"].str.find("at byte"), std::string::npos)
         << v["detail"].str;
 
+    // Well-formed frames with a bad member: each answered in turn,
+    // with its own id and a detail naming the member.
+    double id = 0;
+    for (const auto &[text, member] : kMalformedRequests) {
+        ASSERT_TRUE(c.sendRaw(text, &err)) << err;
+        ASSERT_TRUE(c.recvJson(v, nullptr, &err)) << err;
+        EXPECT_EQ(v["status"].str, "bad-request") << text;
+        EXPECT_EQ(v["id"].number(), ++id) << text;
+        EXPECT_NE(v["detail"].str.find(member), std::string::npos)
+            << v["detail"].str;
+    }
+
     // The connection is still usable for a well-formed request.
     Request stats;
-    stats.id = 2;
+    stats.id = 99;
     stats.kind = ReqKind::Stats;
     ASSERT_TRUE(c.call(stats, v, nullptr, &err)) << err;
     EXPECT_EQ(v["status"].str, "ok");
+    EXPECT_EQ(v["requests"]["protocolErrors"].number(), id + 1);
 }
 
 TEST(JrpmService, VersionMismatchRejectedWithTypedStatus)

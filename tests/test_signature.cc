@@ -266,41 +266,58 @@ TEST(WeightBank, UpdateBoostsDecaysAndClamps)
     EXPECT_EQ(b.weight(kind1), WeightBank::kMin);
 }
 
-TEST(WeightBank, SerializeRoundTripsByteIdentically)
+TEST(WeightBank, JsonRoundTripsByteIdentically)
 {
     WeightBank b;
     b.update(0x13, 0x7f);
     b.update(0x02, 0x1f);
-    const std::string text = b.serialize();
+    const std::string text = b.json();
     WeightBank back;
-    ASSERT_TRUE(WeightBank::deserialize(text, back));
+    std::string err;
+    ASSERT_TRUE(WeightBank::fromJson(text, back, &err)) << err;
     EXPECT_TRUE(back == b);
-    EXPECT_EQ(back.serialize(), text);
+    EXPECT_EQ(back.json(), text);
     EXPECT_EQ(back.hash(), b.hash());
 
     WeightBank fresh;
+    EXPECT_EQ(fresh.json().front(), '[');
     EXPECT_NE(fresh.hash(), b.hash());
-    ASSERT_TRUE(WeightBank::deserialize(fresh.serialize(), back));
+    ASSERT_TRUE(WeightBank::fromJson(fresh.json(), back, &err)) << err;
     EXPECT_TRUE(back == fresh);
 }
 
-TEST(WeightBank, DeserializeRejectsMalformedBanks)
+TEST(WeightBank, FromJsonRejectsMalformedBanks)
 {
+    // A bank of `count` weights: `first`, then 1024s.
+    auto bank = [](const std::string &first, std::uint32_t count) {
+        std::string s = "[" + first;
+        for (std::uint32_t k = 1; k < count; ++k)
+            s += ",1024";
+        return s + "]";
+    };
     WeightBank out;
-    const std::string good = WeightBank().serialize();
-    EXPECT_FALSE(WeightBank::deserialize("", out));
-    EXPECT_FALSE(WeightBank::deserialize("wb0 400", out));
-    EXPECT_FALSE(WeightBank::deserialize("wb1 400 400", out))
-        << "wrong production count must be rejected";
-    EXPECT_FALSE(WeightBank::deserialize(good + " 400", out))
-        << "trailing tokens must be rejected";
-    EXPECT_FALSE(WeightBank::deserialize(
-        "wb1 0 400 400 400 400 400 400 400 400 400 400", out))
-        << "zero weight can never arise (kMin floor)";
-    EXPECT_FALSE(WeightBank::deserialize(
-        "wb1 fffff 400 400 400 400 400 400 400 400 400 400", out))
-        << "over-kMax weight can never arise";
-    EXPECT_TRUE(WeightBank::deserialize(good, out));
+    out.update(0x1, 0x1);
+    const WeightBank before = out;
+    std::string err;
+    for (const std::string &bad :
+         {std::string(""), std::string("400 400 400"),
+          std::string("{\"bank\":[]}"),
+          bank("1024", forge::kNumStmtKinds - 1),
+          bank("1024", forge::kNumStmtKinds + 1),
+          bank("0", forge::kNumStmtKinds),
+          bank(std::to_string(WeightBank::kMax + 1), forge::kNumStmtKinds),
+          bank("512.5", forge::kNumStmtKinds),
+          bank("\"1024\"", forge::kNumStmtKinds)}) {
+        err.clear();
+        EXPECT_FALSE(WeightBank::fromJson(bad, out, &err)) << bad;
+        EXPECT_FALSE(err.empty()) << bad;
+        EXPECT_TRUE(out == before) << "a rejected bank leaves out be";
+    }
+    // The range's ends, 1 and kMax, are weights a bank may hold.
+    EXPECT_TRUE(WeightBank::fromJson(bank("1", forge::kNumStmtKinds), out));
+    EXPECT_TRUE(WeightBank::fromJson(
+        bank(std::to_string(WeightBank::kMax), forge::kNumStmtKinds), out));
+    EXPECT_EQ(out.weight(static_cast<StmtKind>(0)), WeightBank::kMax);
 }
 
 TEST(WeightBank, GenerateWeightedPreservesStreamShapeAndMask)
