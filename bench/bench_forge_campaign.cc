@@ -89,21 +89,6 @@ namespace
 using forge::CorpusEntry;
 using forge::ScenarioSpec;
 
-/** Campaign-sized pipeline config: strict oracle unless overridden,
- *  an 8 MB memory image and a bounded watchdog. */
-JrpmConfig
-forgeConfig(const Options &opt)
-{
-    JrpmConfig cfg = benchConfig(opt);
-    if (opt.oracle.empty())
-        cfg.oracle.mode = OracleMode::Strict;
-    cfg.sys.memBytes = 8u << 20;
-    cfg.vm.heapBytes = 4u << 20;
-    // Bound deadlock diagnosis per case (PR 2 watchdog).
-    cfg.sys.watchdog.noProgressCycles = 500'000;
-    return cfg;
-}
-
 int
 emitStarter(const Options &opt)
 {
@@ -163,7 +148,7 @@ replayEntry(const std::string &path, const JrpmConfig &cfg)
 int
 replayCorpus(const Options &opt)
 {
-    const JrpmConfig cfg = forgeConfig(opt);
+    const JrpmConfig cfg = benchConfig(opt, forge::caseConfig());
     const std::vector<std::string> files =
         forge::listCorpus(opt.replayDir);
     if (files.empty())
@@ -185,7 +170,7 @@ replayCorpus(const Options &opt)
 int
 shrinkDemo(const Options &opt)
 {
-    JrpmConfig cfg = forgeConfig(opt);
+    JrpmConfig cfg = benchConfig(opt, forge::caseConfig());
     // The deliberate divergence: flip one buffered bit right before
     // a speculative commit.  The sequential golden run is untouched
     // (faults arm only in runTls), so the strict oracle must flag
@@ -362,7 +347,7 @@ campaignConfig(const Options &opt)
     cc.forcedSweep = !opt.noForcedSweep;
     cc.guided = opt.guided;
     cc.guidedBatch = opt.guidedBatch;
-    cc.base = forgeConfig(opt);
+    cc.base = benchConfig(opt, forge::caseConfig());
     return cc;
 }
 

@@ -205,9 +205,8 @@ selectWorkloads(const Options &opt)
 }
 
 JrpmConfig
-benchConfig(const Options &opt)
+benchConfig(const Options &opt, JrpmConfig cfg)
 {
-    JrpmConfig cfg;
     if (!opt.oracle.empty()) {
         if (opt.oracle == "off")
             cfg.oracle.mode = OracleMode::Off;

@@ -99,9 +99,9 @@ Options parseArgs(int argc, char **argv);
 /** The workload list honoring --only, with --quick applied. */
 std::vector<Workload> selectWorkloads(const Options &opt);
 
-/** Default Jrpm configuration for benches, with --oracle and
- *  --fault-plan from the command line applied. */
-JrpmConfig benchConfig(const Options &opt = {});
+/** @p base (the default Jrpm configuration unless given), with
+ *  --oracle and --fault-plan from the command line applied. */
+JrpmConfig benchConfig(const Options &opt = {}, JrpmConfig base = {});
 
 /** Run the full pipeline for one workload with progress output.
  *  Crystal-aware: honors --repo/--warm from the last parseArgs. */

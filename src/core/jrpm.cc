@@ -102,12 +102,12 @@ RunOutcome
 JrpmSystem::runOn(Machine &m, const std::vector<Word> &args)
 {
     VmConfig vmCfg = cfg.vm;
-    if (cfg.oracle.mode != OracleMode::Off &&
-        cfg.oracle.serializeAllocators) {
+    if (cfg.oracle.mode != OracleMode::Off) {
         // Heap layout must be bit-identical between the sequential
         // golden run and the TLS run for a memory compare to mean
-        // anything, so the §5.2 per-CPU allocation buffers are off
-        // for *both* (sequential runs never use them anyway).
+        // anything (with the §5.2 per-CPU allocation buffers, object
+        // addresses depend on the CPU interleaving), so the buffers
+        // are off for *both* (sequential runs never use them anyway).
         vmCfg.speculativeAllocators = false;
     }
     VmRuntime vm(m, vmCfg);

@@ -82,11 +82,12 @@ struct JrpmConfig
      *  pipeline stages; a stop turns the run into a fatal() (a
      *  per-case error under ScopedFatalCapture).  Empty = never. */
     CancelToken cancel;
-    /** microJIT speed model: cycles per bytecode compiled. */
-    double cyclesPerBytecodeCompile = 250.0;
-    /** recompilation touches only STL-bearing methods. */
-    double recompileFraction = 0.4;
     std::uint64_t maxCycles = 4'000'000'000ull;
+
+    /** microJIT speed model: cycles per bytecode compiled. */
+    static constexpr double cyclesPerBytecodeCompile = 250.0;
+    /** recompilation touches only STL-bearing methods. */
+    static constexpr double recompileFraction = 0.4;
 };
 
 /** Outcome of one machine run. */

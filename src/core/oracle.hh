@@ -38,11 +38,6 @@ const char *oracleModeName(OracleMode mode);
 struct OracleConfig
 {
     OracleMode mode = OracleMode::Off;
-    /** Serialize the §5.2 speculative allocators during the TLS run
-     *  so heap layout is bit-identical to the sequential run. Without
-     *  this, object addresses depend on the CPU interleaving and a
-     *  memory compare is meaningless. */
-    bool serializeAllocators = true;
     /** How many divergent bytes to record individually. */
     std::size_t maxDiffs = 8;
 };

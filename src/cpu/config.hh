@@ -55,7 +55,6 @@ struct HandlerCosts
  */
 struct WatchdogConfig
 {
-    bool enabled = true;
     /** Max cycles between head commits inside an STL.  Generous by
      *  default: stock threads are ~10^3-10^4 cycles, and a head
      *  waiting out a memory stall chain never approaches this. */
@@ -79,8 +78,9 @@ struct GovernorConfig
     std::uint32_t minSamples = 48;
     /** Abort when violations exceed this multiple of commits. */
     double maxViolationsPerCommit = 6.0;
+
     /** Abort when overflow stalls exceed this multiple of commits. */
-    double maxOverflowPerCommit = 12.0;
+    static constexpr double maxOverflowPerCommit = 12.0;
 };
 
 /** Simulator dispatch tier (DESIGN.md, "Simulator dispatch"). */
@@ -94,24 +94,27 @@ enum class Dispatch : std::uint8_t
     Exact,
 };
 
-/** Whole-machine configuration. */
+/** Whole-machine configuration: Hydra's fixed parameters (Fig. 2),
+ *  then what benches and tests set. */
 struct SystemConfig
 {
-    std::uint32_t numCpus = 4;
-    std::uint32_t memBytes = 64u << 20;
+    /** CPUs on the chip; the JIT and the analyzer read it too. */
+    static constexpr std::uint32_t numCpus = 4;
 
     // Memory hierarchy latencies in cycles (Fig. 2); an L1 hit costs
     // no extra cycles beyond the instruction itself.
-    std::uint32_t l2Latency = 5;
-    std::uint32_t forwardLatency = 10;  ///< inter-processor
-    std::uint32_t memLatency = 50;
+    static constexpr std::uint32_t l2Latency = 5;
+    static constexpr std::uint32_t forwardLatency = 10; ///< inter-processor
+    static constexpr std::uint32_t memLatency = 50;
 
     // L1 data cache geometry (16 kB, 32 B lines, 4-way).
-    std::uint32_t l1Bytes = 16u << 10;
-    std::uint32_t l1Assoc = 4;
+    static constexpr std::uint32_t l1Bytes = 16u << 10;
+    static constexpr std::uint32_t l1Assoc = 4;
     // Shared on-chip L2 (2 MB).
-    std::uint32_t l2Bytes = 2u << 20;
-    std::uint32_t l2Assoc = 16;
+    static constexpr std::uint32_t l2Bytes = 2u << 20;
+    static constexpr std::uint32_t l2Assoc = 16;
+
+    std::uint32_t memBytes = 64u << 20;
 
     /** Model cache timing (off = every access is an L1 hit). */
     bool cacheTiming = true;

@@ -106,7 +106,7 @@ std::uint64_t
 hashAnalyzerConfig(const AnalyzerConfig &an, const TracerConfig &tr)
 {
     Fnv1a h;
-    h.u32(an.numCpus);
+    h.u32(SystemConfig::numCpus);
     h.u32(an.handlers.startup)
         .u32(an.handlers.shutdown)
         .u32(an.handlers.eoi)
@@ -124,7 +124,9 @@ hashAnalyzerConfig(const AnalyzerConfig &an, const TracerConfig &tr)
         .u32(tr.loadBufferLines)
         .u32(tr.storeBufferLines)
         .u32(tr.startHistory)
-        .u64(tr.timestampCapacity)
+        // Where the timestamp-table cap was: the tables are unbounded,
+        // and hashing the old "no cap" keeps every fingerprint.
+        .u64(0)
         .boolean(tr.allowBankStealing);
     return h.value();
 }

@@ -288,17 +288,17 @@ runFleet(const FleetConfig &cfg)
 
     // A worker died (signal, unexpected exit, or timeout) — decide
     // retry vs quarantine for the case it was on, and re-queue the
-    // rest of its range for the survivors.
-    auto handleDeath = [&](Worker &w, const std::string &cause) {
+    // rest of its range for the survivors.  The cause is its crash
+    // record if it wrote one (that names the signal), else @p status.
+    auto handleDeath = [&](Worker &w, const std::string &status) {
         ++tallies.workerDeaths;
-        std::string detail = harvestCrashRecord(forensics, w.pid);
-        warn("fleet: worker %d (%s..%s attempt %u) died at seed %s: "
-             "%s%s%s",
+        const std::string record = harvestCrashRecord(forensics, w.pid);
+        const std::string &cause = record.empty() ? status : record;
+        warn("fleet: worker %d (%s..%s attempt %u) died at seed %s: %s",
              w.pid, seedHex(w.item.lo).c_str(),
              seedHex(w.item.hi).c_str(), w.item.attempt,
              w.started ? seedHex(w.curSeed).c_str() : "<none>",
-             cause.c_str(), detail.empty() ? "" : " — ",
-             detail.c_str());
+             cause.c_str());
 
         // A worker that died before starting any case: treat its
         // first seed as the suspect (repeated spawn death must not
@@ -311,8 +311,7 @@ runFleet(const FleetConfig &cfg)
                 PoisonRecord p;
                 p.seed = s;
                 p.attempts = w.item.attempt + 1;
-                p.cause = cause + (detail.empty() ? "" : " — ") +
-                          detail;
+                p.cause = cause;
                 manifest.recordPoison(p);
                 ++tallies.quarantined;
                 warn("fleet: seed %s quarantined after %u attempts",

@@ -239,14 +239,17 @@ CampaignManifest::load(const std::string &expect_config,
 
     // Fresh campaign: stamp the checkpoint header now so a crash
     // before the first periodic checkpoint still leaves the campaign
-    // identity on disk; then open the journal for appending, with
-    // its own header so a journal orphaned by a deleted checkpoint
-    // remains self-identifying.
+    // identity on disk (checkpoint() leaves the journal open with its
+    // header); else open the journal for appending, with its own
+    // header so a journal orphaned by a deleted checkpoint remains
+    // self-identifying.
     if (cp == FileVerdict::Absent)
         checkpoint();
-    openJournal(/*truncate=*/false);
-    if (jr == FileVerdict::Absent)
-        appendJournal(configRecord(configLine));
+    if (!journal) {
+        openJournal(/*truncate=*/false);
+        if (jr == FileVerdict::Absent)
+            appendJournal(configRecord(configLine));
+    }
     return true;
 }
 

@@ -44,6 +44,17 @@ plansWith(const JrpmReport &rep, bool OptPlan::*flag)
 
 } // namespace
 
+JrpmConfig
+caseConfig()
+{
+    JrpmConfig cfg;
+    cfg.oracle.mode = OracleMode::Strict;
+    cfg.sys.memBytes = 8u << 20;
+    cfg.vm.heapBytes = 4u << 20;
+    cfg.sys.watchdog.noProgressCycles = 500'000;
+    return cfg;
+}
+
 CaseResult
 runCase(const ScenarioSpec &spec, const JrpmConfig &base,
         bool forced_sweep, JrpmReport *rep_out)

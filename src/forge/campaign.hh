@@ -43,6 +43,12 @@ namespace jrpm
 namespace forge
 {
 
+/** One forge case's pipeline config: the strict oracle, an 8 MB image
+ *  and a 4 MB heap (strict compares stay cheap), and a 500k-cycle
+ *  watchdog (a deadlocked case fails fast).  Callers apply their own
+ *  changes on top. */
+JrpmConfig caseConfig();
+
 struct CampaignConfig
 {
     std::uint32_t cases = 200;

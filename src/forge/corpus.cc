@@ -10,6 +10,7 @@
 #include "common/logging.hh"
 #include "common/seal.hh"
 #include "crystal/crystal.hh"
+#include "forge/campaign.hh"
 
 namespace jrpm
 {
@@ -204,10 +205,7 @@ makeCorpusEntry(const ScenarioSpec &spec, bool with_exit)
     e.programHash = hashProgram(render(e.spec));
     if (with_exit) {
         const Workload w = scenarioWorkload(e.spec);
-        JrpmConfig cfg;
-        cfg.sys.memBytes = 8u << 20;
-        cfg.vm.heapBytes = 4u << 20;
-        JrpmSystem sys(w, cfg);
+        JrpmSystem sys(w, caseConfig());
         const RunOutcome seq =
             sys.runSequential(w.mainArgs, false, nullptr);
         if (!seq.halted || seq.uncaught)

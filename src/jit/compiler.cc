@@ -315,8 +315,6 @@ MethodCompiler::valueReg(const Operand &o, std::uint8_t scratch)
 void
 MethodCompiler::buildRegMap()
 {
-    if (!cfg.optLoopRegCache)
-        return;
     // Methods with exception handlers keep locals in memory so
     // handlers and the unwinder always see consistent state.
     if (!m.catches.empty())
@@ -866,7 +864,7 @@ MethodCompiler::layoutFrame()
         for (auto &[slot, vp] : plan.vars) {
             if (vp.cls == VarClass::Reduction) {
                 plan.redOff[slot] = -off;
-                off += 4 * static_cast<std::int32_t>(cfg.numCpus);
+                off += 4 * static_cast<std::int32_t>(SystemConfig::numCpus);
             } else if (vp.cls == VarClass::Resetable) {
                 plan.resetOff[slot] = -off;
                 off += 8;
@@ -1497,7 +1495,7 @@ MethodCompiler::emitStlStartup(SelPlan &plan)
             a.li(kScr1, static_cast<std::int32_t>(floatToWord(1.0f)));
             id_reg = kScr1;
         }
-        for (std::uint32_t c = 0; c < cfg.numCpus; ++c)
+        for (std::uint32_t c = 0; c < SystemConfig::numCpus; ++c)
             a.store(Op::SW, id_reg, R_FP,
                     base - 4 * static_cast<std::int32_t>(c));
     }
@@ -1611,7 +1609,7 @@ MethodCompiler::storeResultsAndReloadMapped(SelPlan &plan)
             // home = home (x) slot[0] (x) ... (x) slot[N-1]
             const Op acc = reductionNativeOp(vp.redOp);
             a.load(Op::LW, sreg, R_FP, homeOff(slot));
-            for (std::uint32_t c = 0; c < cfg.numCpus; ++c) {
+            for (std::uint32_t c = 0; c < SystemConfig::numCpus; ++c) {
                 a.load(Op::LW, kScr1, R_FP,
                        plan.redOff.at(slot) -
                            4 * static_cast<std::int32_t>(c));

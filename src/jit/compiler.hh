@@ -45,8 +45,6 @@ enum class CompileMode
 /** Optimization switches (ablations toggle these). */
 struct JitConfig
 {
-    /** Cache hot locals in callee-saved registers. */
-    bool optLoopRegCache = true;
     /** §4.2.1: keep loop invariants in registers across iterations
      *  (off: reload from the stack at every use inside STL bodies). */
     bool optLoopInvariantRegs = true;
@@ -66,9 +64,9 @@ struct JitConfig
     bool optHoistHandlers = true;
     /** Inline tiny leaf methods at the bytecode level. */
     bool inlineSmallMethods = true;
-    std::uint32_t inlineMaxBytecodes = 16;
-    /** CPUs in the target CMP (round-robin iteration stride). */
-    std::uint32_t numCpus = 4;
+
+    /** Largest method (in bytecodes) the inliner takes. */
+    static constexpr std::uint32_t inlineMaxBytecodes = 16;
 };
 
 /** A loop chosen for TLS compilation, with its optimization plan. */
@@ -113,8 +111,6 @@ class Jit
 
     /** Total bytecodes across all methods (compile-cost model). */
     std::size_t bytecodeCount() const;
-
-    const JitConfig &config() const { return cfg; }
 
   private:
     BcProgram prog;            ///< after inlining

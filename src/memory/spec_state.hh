@@ -28,7 +28,8 @@ class MainMemory;
 /** Geometry and limits of the speculative buffers. */
 struct SpecBufferConfig
 {
-    std::uint32_t lineBytes = 32;
+    static constexpr std::uint32_t lineBytes = 32;
+
     std::uint32_t storeBufferLines = 64;   ///< fully associative
     std::uint32_t loadBufferLines = 512;   ///< total lines trackable
     std::uint32_t loadBufferAssoc = 4;     ///< per-set limit

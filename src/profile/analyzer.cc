@@ -34,7 +34,7 @@ Analyzer::predict(const LoopProfile &p) const
     out.avgStoreLines = p.storeLines.mean();
 
     const double T = out.avgThreadSize;
-    const double n = cfg.numCpus;
+    const double n = SystemConfig::numCpus;
     const double eoi = cfg.handlers.eoi;
 
     // Ideal scheduling of the average inter-thread dependency: thread

@@ -33,28 +33,29 @@ struct LoopInfo
     std::uint32_t methodId = 0;
 };
 
-/** Analyzer tuning knobs. */
+/** The analyzer's fixed selection heuristics (§3.1) and costs; no
+ *  member is settable. */
 struct AnalyzerConfig
 {
-    std::uint32_t numCpus = 4;
-    HandlerCosts handlers;
-    double minItersPerEntry = 3.0;   ///< ">> 1"
+    /** The New costs (Table 1), whatever the machine runs with. */
+    static constexpr HandlerCosts handlers{};
+    static constexpr double minItersPerEntry = 3.0; ///< ">> 1"
     /** Fixed per-iteration cost of the recompiled EOI block (the
      *  wait/commit/advance/jump instructions of Fig. 4). */
-    double eoiBlockCycles = 5.0;
+    static constexpr double eoiBlockCycles = 5.0;
     /** Commits pass the head serially; thread starts cannot be
      *  closer than this regardless of thread size. */
-    double minCommitInterval = 3.0;
-    double maxOverflowFrequency = 0.10; ///< "<< 1"
-    double minPredictedSpeedup = 1.2;
+    static constexpr double minCommitInterval = 3.0;
+    static constexpr double maxOverflowFrequency = 0.10; ///< "<< 1"
+    static constexpr double minPredictedSpeedup = 1.2;
     /** Sync-lock plan thresholds (§4.2.4): dependency occurs in more
      *  than this fraction of threads ... */
-    double syncDepFrequency = 0.8;
+    static constexpr double syncDepFrequency = 0.8;
     /** ... and its arc length is much shorter than the thread. */
-    double syncArcLengthRatio = 0.5;
+    static constexpr double syncArcLengthRatio = 0.5;
     /** Multilevel plan (§4.2.6): the inner loop is entered in fewer
      *  than this fraction of outer iterations. */
-    double multilevelEntryRatio = 0.2;
+    static constexpr double multilevelEntryRatio = 0.2;
 };
 
 /** Predicted TLS behaviour of one potential STL. */
@@ -112,8 +113,6 @@ class Analyzer
     std::vector<SelectedStl>
     select(const std::vector<LoopInfo> &loops,
            const std::map<std::int32_t, LoopProfile> &profiles) const;
-
-    const AnalyzerConfig &config() const { return cfg; }
 
   private:
     AnalyzerConfig cfg;

@@ -57,15 +57,16 @@ Machine::Machine(const SystemConfig &config)
       mem(config.memBytes),
       l2(config.l2Bytes, config.specBuffers.lineBytes, config.l2Assoc)
 {
+    // Batch accounting adds specShare*k at once where step() adds
+    // specShare k times; that is bit-identical only when the share is
+    // exactly representable.
+    static_assert((SystemConfig::numCpus &
+                   (SystemConfig::numCpus - 1)) == 0,
+                  "fast dispatch needs 1/numCpus exactly representable: "
+                  "numCpus must be a power of two");
     cores.reserve(cfg.numCpus);
     for (std::uint32_t i = 0; i < cfg.numCpus; ++i)
         cores.emplace_back(i, cfg);
-    specShare = 1.0 / cfg.numCpus;
-    // Batch accounting adds share*k at once where step() adds share k
-    // times; that is bit-identical only when share is exactly
-    // representable, i.e. numCpus is a power of two.
-    fastPathOk = cfg.dispatch == Dispatch::Fast && cfg.numCpus != 0 &&
-                 (cfg.numCpus & (cfg.numCpus - 1)) == 0;
     burstRunners.reserve(cfg.numCpus);
     roundMem.reserve(cfg.numCpus);
 }
@@ -145,7 +146,7 @@ Machine::step()
     ++cycle;
     if (fault && fault->armed())
         pollFaults();
-    if (specActive && cfg.watchdog.enabled &&
+    if (specActive &&
         cycle - lastHeadProgress > cfg.watchdog.noProgressCycles) {
         watchdogFire();
         return;
@@ -371,10 +372,9 @@ Machine::advance(std::uint64_t budget)
 {
     if (budget == 0)
         return 0;
-    // Exact dispatch, armed fault injectors (they poll every cycle)
-    // and non-power-of-two CPU counts (batched double accounting is
-    // inexact there) take the reference path wholesale.
-    if (!fastPathOk || (fault && fault->armed())) {
+    // Exact dispatch and armed fault injectors (they poll every
+    // cycle) take the reference path wholesale.
+    if (cfg.dispatch == Dispatch::Exact || (fault && fault->armed())) {
         JRPM_HPROF(StepExact);
         step();
         return 1;
@@ -475,18 +475,16 @@ Machine::advanceSpeculative(std::uint64_t budget)
     while (used < budget) {
         if (!specActive || halted())
             break; // reclassify in advance()
-        std::uint64_t cap = budget - used;
-        if (cfg.watchdog.enabled) {
-            const Cycle deadline =
-                lastHeadProgress + cfg.watchdog.noProgressCycles;
-            if (cycle >= deadline) {
-                JRPM_HPROF(StepExact);
-                step(); // fires the watchdog at the exact cycle
-                ++used;
-                continue;
-            }
-            cap = std::min<std::uint64_t>(cap, deadline - cycle);
+        const Cycle deadline =
+            lastHeadProgress + cfg.watchdog.noProgressCycles;
+        if (cycle >= deadline) {
+            JRPM_HPROF(StepExact);
+            step(); // fires the watchdog at the exact cycle
+            ++used;
+            continue;
         }
+        const std::uint64_t cap =
+            std::min<std::uint64_t>(budget - used, deadline - cycle);
 
         // Classify every core: cycles to its next event, and whether
         // it executes.  Anything order-sensitive this cycle (squash,

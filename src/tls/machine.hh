@@ -262,12 +262,8 @@ class Machine
     std::vector<AddrRegion> addrRegions;
 
     // ---- event-horizon fast path ------------------------------------
-    /** 1/numCpus, hoisted out of the per-cycle accounting. */
-    double specShare = 0.25;
-    /** Fast dispatch, and numCpus is a power of two, so batch-adding
-     *  share*k is bit-identical to k repeated adds; otherwise every
-     *  cycle takes step(). */
-    bool fastPathOk = true;
+    /** Each CPU's share of a speculative cycle (Fig. 10 buckets). */
+    static constexpr double specShare = 1.0 / SystemConfig::numCpus;
     /** Scratch list of cores executing in the current burst window
      *  (reused across windows to avoid per-window allocation). */
     std::vector<Core *> burstRunners;

@@ -240,17 +240,6 @@ TestProfiler::recordLineAccess(Addr addr, bool is_store)
 }
 
 void
-TestProfiler::capTable()
-{
-    if (config.timestampCapacity &&
-        heapStoreTs.size() > config.timestampCapacity) {
-        // The hardware tables are tiny and lossy; evicting arbitrary
-        // entries models that imprecision.
-        heapStoreTs.erase(heapStoreTs.begin());
-    }
-}
-
-void
 TestProfiler::onHeapLoad(Addr addr, Cycle now, std::uint32_t site)
 {
     const Addr word = addr & ~3u;
@@ -264,7 +253,6 @@ void
 TestProfiler::onHeapStore(Addr addr, Cycle now)
 {
     heapStoreTs[addr & ~3u] = now;
-    capTable();
     recordLineAccess(addr, true);
 }
 

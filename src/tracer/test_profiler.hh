@@ -33,29 +33,24 @@
 #include "common/metrics.hh"
 #include "common/stats.hh"
 #include "cpu/hooks.hh"
+#include "memory/spec_state.hh"
 
 namespace jrpm
 {
 
-/** Geometry of the TEST hardware. */
+/** Geometry of the TEST hardware: what tests vary, then what is fixed. */
 struct TracerConfig
 {
     std::uint32_t numBanks = 8;        ///< comparator banks
-    std::uint32_t lineBytes = 32;
-    std::uint32_t loadBufferLines = 512;
     std::uint32_t storeBufferLines = 64;
-    /** Thread-start history depth per bank; arcs reaching farther
-     *  back are reported at this maximum distance. */
-    std::uint32_t startHistory = 128;
-    /**
-     * Capacity of the timestamp tables (0 = unbounded).  The real
-     * hardware repurposes the 2 kB store buffers and is lossy; the
-     * default keeps the tables exact, and benches can model the
-     * hardware imprecision by setting a cap.
-     */
-    std::size_t timestampCapacity = 0;
     /** Banks stealable from consistently-overflowing outer loops. */
     bool allowBankStealing = true;
+
+    static constexpr std::uint32_t lineBytes = SpecBufferConfig::lineBytes;
+    static constexpr std::uint32_t loadBufferLines = 512;
+    /** Thread-start history depth per bank; arcs reaching farther
+     *  back are reported at this maximum distance. */
+    static constexpr std::uint32_t startHistory = 128;
 };
 
 /** A critical-arc source: a heap load site or a local variable. */
@@ -204,7 +199,6 @@ class TestProfiler : public ProfileHook
     void finishThread(Bank &bank, Cycle now);
     void flushBank(Bank &bank, Cycle now);
     Bank *allocateBank(std::int32_t loop_id, Cycle now);
-    void capTable();
 };
 
 } // namespace jrpm

@@ -28,15 +28,28 @@
 namespace jrpm
 {
 
-/** Memory map and policy knobs of the VM. */
+/** The VM's fixed memory map and costs, then what benches set. */
 struct VmConfig
 {
-    Addr globalsBase = 0x8000;       ///< statics area ($gp)
-    Addr lockTableBase = 0xa000;     ///< monitor words by lock id
-    std::uint32_t maxLocks = 1024;
-    Addr heapBase = 0x100000;
+    static constexpr Addr globalsBase = 0x8000;   ///< statics area ($gp)
+    static constexpr Addr lockTableBase = 0xa000; ///< monitor words by lock id
+    static constexpr std::uint32_t maxLocks = 1024;
+    static constexpr Addr heapBase = 0x100000;
+    static constexpr Addr stackTop = 0xf0000; ///< runtime stack (grows down)
+
+    static constexpr std::uint32_t allocTrapCycles = 12; ///< fast-path cost
+    static constexpr std::uint32_t monitorTrapCycles = 6;
+    static constexpr std::uint32_t printTrapCycles = 40;
+    /** Per-CPU speculative allocation buffer chunk (bytes). */
+    static constexpr std::uint32_t localAllocChunk = 4096;
+    /** Trigger GC when free heap falls below this fraction. */
+    static constexpr double gcTriggerFraction = 0.15;
+    /** GC cost model: cycles per live word scanned + per heap word
+     *  swept. */
+    static constexpr double gcCyclesPerScannedWord = 1.0;
+    static constexpr double gcCyclesPerSweptObject = 8.0;
+
     std::uint32_t heapBytes = 24u << 20;
-    Addr stackTop = 0xf0000;         ///< runtime stack (grows down)
 
     /** §5.2: per-CPU allocation buffers during speculation (off:
      *  every speculative allocation serializes on the shared top). */
@@ -44,18 +57,6 @@ struct VmConfig
     /** §5.3: elide monitor traffic during speculation (off: lock
      *  words cause an inter-thread dependency per iteration). */
     bool speculativeLockElision = true;
-
-    std::uint32_t allocTrapCycles = 12;  ///< fast-path service cost
-    std::uint32_t monitorTrapCycles = 6;
-    std::uint32_t printTrapCycles = 40;
-    /** Per-CPU speculative allocation buffer chunk (bytes). */
-    std::uint32_t localAllocChunk = 4096;
-    /** Trigger GC when free heap falls below this fraction. */
-    double gcTriggerFraction = 0.15;
-    /** GC cost model: cycles per live word scanned + per heap word
-     *  swept. */
-    double gcCyclesPerScannedWord = 1.0;
-    double gcCyclesPerSweptObject = 8.0;
 };
 
 /** Allocation / collection statistics. */
@@ -93,7 +94,6 @@ class VmRuntime : public RuntimeHooks
                        TrapId id) override;
 
     const VmStats &stats() const { return vmStats; }
-    const VmConfig &config() const { return cfg; }
 
     /**
      * Host-side allocation used to stage input data before the

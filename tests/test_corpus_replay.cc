@@ -34,10 +34,7 @@ using forge::CorpusEntry;
 JrpmConfig
 replayConfig(Dispatch dispatch)
 {
-    JrpmConfig cfg;
-    cfg.oracle.mode = OracleMode::Strict;
-    cfg.sys.memBytes = 8u << 20;
-    cfg.vm.heapBytes = 4u << 20;
+    JrpmConfig cfg = forge::caseConfig();
     cfg.sys.dispatch = dispatch;
     return cfg;
 }

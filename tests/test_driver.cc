@@ -9,31 +9,18 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <stdexcept>
 
 #include "common/logging.hh"
 #include "core/report_json.hh"
 #include "driver/driver.hh"
+#include "temp_dir.hh"
 #include "workloads/workloads.hh"
 
 namespace jrpm
 {
 namespace
 {
-
-/** A fresh temp directory removed at scope exit. */
-struct TempDir
-{
-    std::filesystem::path path;
-
-    TempDir()
-    {
-        char tmpl[] = "/tmp/jrpm-driver-XXXXXX";
-        path = ::mkdtemp(tmpl);
-    }
-    ~TempDir() { std::filesystem::remove_all(path); }
-};
 
 /** Small, fast workloads: run them on their profiling inputs. */
 std::vector<Workload>
@@ -103,7 +90,7 @@ TEST(BatchDriver, WarmStartRoundTrip)
 
     DriverConfig cold;
     cold.jobs = 4;
-    cold.repoDir = td.path.string();
+    cold.repoDir = td.path;
     cold.warm = WarmMode::Cold;
     const auto first = BatchDriver(cold).run(jobsFor(ws, cfg));
     for (std::size_t i = 0; i < ws.size(); ++i) {
@@ -149,7 +136,7 @@ TEST(BatchDriver, DemotesWildMispredictions)
     }
     JrpmConfig cfg;
 
-    CrystalRepo repo(td.path.string());
+    CrystalRepo repo(td.path);
     cfg.crystal.repo = &repo;
     cfg.crystal.warm = WarmMode::Cold;
     JrpmReport coldRep = JrpmSystem(w, cfg).run();
@@ -186,7 +173,7 @@ TEST(BatchDriver, OneFailingJobDoesNotAbortTheBatch)
     jobs[1].custom = []() -> JrpmReport {
         throw std::runtime_error("scenario exploded");
     };
-    CrystalRepo emptyRepo(td.path.string());
+    CrystalRepo emptyRepo(td.path);
     jobs[2].cfg.crystal.repo = &emptyRepo;
     jobs[2].cfg.crystal.warm = WarmMode::Warm;
 
@@ -229,11 +216,11 @@ TEST(BatchDriver, EmptyBatchAndOwnedRepo)
     TempDir td;
     DriverConfig dc;
     dc.jobs = 8;
-    dc.repoDir = td.path.string();
+    dc.repoDir = td.path;
     BatchDriver driver(dc);
     EXPECT_TRUE(driver.run({}).empty());
     ASSERT_NE(driver.repo(), nullptr);
-    EXPECT_EQ(driver.repo()->dir(), td.path.string());
+    EXPECT_EQ(driver.repo()->dir(), td.path);
 }
 
 /** The job pool must not perturb output bytes: any worker count

@@ -17,6 +17,7 @@
 
 #include "common/fault.hh"
 #include "core/jrpm.hh"
+#include "forge/campaign.hh"
 
 namespace jrpm
 {
@@ -377,7 +378,7 @@ repeatedChainProgram()
 struct Harness
 {
     Workload w;
-    JrpmConfig cfg;
+    JrpmConfig cfg = forge::caseConfig();
     std::unique_ptr<JrpmSystem> sys;
     RunOutcome seq;
 
@@ -388,9 +389,6 @@ struct Harness
         w.name = "fault";
         w.program = std::move(prog);
         w.mainArgs = {n};
-        cfg.sys.memBytes = 8u << 20;
-        cfg.vm.heapBytes = 4u << 20;
-        cfg.oracle.mode = OracleMode::Strict;
         // Each test isolates one mechanism; the governor only runs
         // where it is the subject.
         cfg.sys.governor.enabled = governor;

@@ -34,20 +34,12 @@
 #include "forge/corpus.hh"
 #include "forge/weights.hh"
 #include "member_mutants.hh"
+#include "temp_dir.hh"
 
 namespace jrpm
 {
 namespace
 {
-
-std::string
-makeTempDir()
-{
-    char tmpl[] = "/tmp/jrpm-fleet-test-XXXXXX";
-    const char *d = mkdtemp(tmpl);
-    EXPECT_NE(d, nullptr);
-    return d ? d : "";
-}
 
 std::string
 slurp(const std::string &path)
@@ -406,7 +398,8 @@ TEST(FleetManifest, SealedRecordsDetectTearing)
 
 TEST(FleetManifest, EveryRecordTypeRoundTripsThroughJournalAndCheckpoint)
 {
-    const std::string dir = makeTempDir();
+    const TempDir td;
+    const std::string &dir = td.path;
     const std::string path = dir + "/manifest";
     const std::string config = "seed 5eed cases 4 plan \"a b\"";
     const std::string repro = dir + "/my repros/forge-3.scenario";
@@ -469,9 +462,30 @@ TEST(FleetManifest, EveryRecordTypeRoundTripsThroughJournalAndCheckpoint)
     }
 }
 
+TEST(FleetManifest, FreshJournalHoldsOneConfigHeader)
+{
+    const TempDir td;
+    const std::string path = td.path + "/manifest";
+    {
+        fleet::CampaignManifest m(path);
+        std::string err;
+        ASSERT_TRUE(m.load("seed 3 cases 2", &err)) << err;
+        m.recordCase(sampleCase(1));
+    }
+    // The header, then the case.
+    const std::string journal = slurp(path + ".journal");
+    std::istringstream lines(journal);
+    std::size_t total = 0, headers = 0;
+    for (std::string line; std::getline(lines, line); ++total)
+        headers += line.rfind("{\"config\":", 0) == 0;
+    EXPECT_EQ(headers, 1u) << journal;
+    EXPECT_EQ(total, 2u) << journal;
+}
+
 TEST(FleetManifest, UnreadableJournalLinesAreSkippedAndCounted)
 {
-    const std::string dir = makeTempDir();
+    const TempDir td;
+    const std::string &dir = td.path;
     const std::string path = dir + "/manifest";
     const std::string config = "seed 1 cases 8";
 
@@ -533,7 +547,8 @@ TEST(FleetManifest, UnreadableJournalLinesAreSkippedAndCounted)
 
 TEST(FleetManifest, TruncatedCheckpointDegradesToJournal)
 {
-    const std::string dir = makeTempDir();
+    const TempDir td;
+    const std::string &dir = td.path;
     const std::string path = dir + "/manifest";
     const std::string config = "seed 2 cases 8";
 
@@ -561,7 +576,8 @@ TEST(FleetManifest, TruncatedCheckpointDegradesToJournal)
 
 TEST(FleetManifest, RefusesConfigConflict)
 {
-    const std::string dir = makeTempDir();
+    const TempDir td;
+    const std::string &dir = td.path;
     const std::string path = dir + "/manifest";
     {
         fleet::CampaignManifest m(path);
@@ -612,7 +628,8 @@ TEST(FleetConfigIdentity, CoversTheCaseShapingKnobs)
 
 TEST(ObsCrashFailsafe, WritesSignalRecordFromDyingChild)
 {
-    const std::string dir = makeTempDir();
+    const TempDir td;
+    const std::string &dir = td.path;
     const std::string crash = dir + "/child.crash";
 
     const pid_t pid = fork();
@@ -646,7 +663,8 @@ runCmd(const std::string &cmd)
  *  completes cleanly and covers every seed exactly once. */
 TEST(FleetEndToEnd, SmallCampaignCoversEverySeedOnce)
 {
-    const std::string dir = makeTempDir();
+    const TempDir td;
+    const std::string &dir = td.path;
     const std::string manifest = dir + "/m";
     const int rc = runCmd(std::string(JRPM_FLEET_EXE) +
                           " --fleet --manifest=" + manifest +
@@ -672,7 +690,8 @@ TEST(FleetEndToEnd, SmallCampaignCoversEverySeedOnce)
  *  writing an all-zero profile. */
 TEST(FleetEndToEnd, HostprofIsRefused)
 {
-    const std::string dir = makeTempDir();
+    const TempDir td;
+    const std::string &dir = td.path;
     const int rc = runCmd(std::string(JRPM_FLEET_EXE) +
                           " --fleet --hostprof --manifest=" + dir +
                           "/m --cases=2 --jobs=1 >" + dir +
@@ -687,7 +706,8 @@ TEST(FleetEndToEnd, HostprofIsRefused)
  *  completes, and a resume reads that repro back. */
 TEST(FleetEndToEnd, AbortingCaseIsQuarantinedWithShrunkRepro)
 {
-    const std::string dir = makeTempDir();
+    const TempDir td;
+    const std::string &dir = td.path;
     const std::uint64_t poison = 0x5eed + 2;
     // Run from the temporary directory with a relative repro
     // directory whose name holds a space: the manifest must record
@@ -720,7 +740,11 @@ TEST(FleetEndToEnd, AbortingCaseIsQuarantinedWithShrunkRepro)
         p = m.poisoned().at(poison);
     }
     EXPECT_EQ(p.attempts, 2u) << "must retry once before poisoning";
-    EXPECT_NE(p.cause.find("signal 6"), std::string::npos) << p.cause;
+    // The crash record names the signal; the exit status adds nothing.
+    const std::size_t sig = p.cause.find("signal 6");
+    ASSERT_NE(sig, std::string::npos) << p.cause;
+    EXPECT_EQ(p.cause.find("signal 6", sig + 1), std::string::npos)
+        << p.cause;
     ASSERT_FALSE(p.reproPath.empty()) << "no shrunk repro recorded";
     EXPECT_EQ(p.reproPath.front(), '/') << p.reproPath;
     EXPECT_NE(p.reproPath.find("/my repros/forge-"), std::string::npos)
@@ -760,7 +784,8 @@ TEST(FleetEndToEnd, AbortingCaseIsQuarantinedWithShrunkRepro)
  *  in-process bank at the same barrier. */
 TEST(FleetEndToEnd, GuidedFleetMatchesInProcessCampaign)
 {
-    const std::string dir = makeTempDir();
+    const TempDir td;
+    const std::string &dir = td.path;
     const std::string manifest = dir + "/m";
     const int rc = runCmd(std::string(JRPM_FLEET_EXE) +
                           " --fleet --manifest=" + manifest +
@@ -779,12 +804,9 @@ TEST(FleetEndToEnd, GuidedFleetMatchesInProcessCampaign)
     cc.guidedBatch = 8;
     cc.forcedSweep = false;
     cc.jobs = 2;
-    // Mirror the bench's forgeConfig() so per-case telemetry (and
-    // with it the signatures) matches the workers'.
-    cc.base.oracle.mode = OracleMode::Strict;
-    cc.base.sys.memBytes = 8u << 20;
-    cc.base.vm.heapBytes = 4u << 20;
-    cc.base.sys.watchdog.noProgressCycles = 500'000;
+    // The workers' case config, so per-case telemetry (and with it
+    // the signatures) matches theirs.
+    cc.base = forge::caseConfig();
     const forge::CampaignResult ref = forge::runCampaign(cc);
 
     fleet::CampaignManifest m(manifest);

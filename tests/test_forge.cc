@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <unordered_set>
@@ -26,6 +25,7 @@
 #include "forge/shrink.hh"
 #include "forge/weights.hh"
 #include "member_mutants.hh"
+#include "temp_dir.hh"
 
 namespace jrpm
 {
@@ -37,16 +37,6 @@ using forge::ForgeStmt;
 using forge::ScenarioSpec;
 using forge::StmtKind;
 using forge::StressAxis;
-
-JrpmConfig
-strictConfig()
-{
-    JrpmConfig cfg;
-    cfg.oracle.mode = OracleMode::Strict;
-    cfg.sys.memBytes = 8u << 20;
-    cfg.vm.heapBytes = 4u << 20;
-    return cfg;
-}
 
 // ---- determinism ------------------------------------------------------
 
@@ -101,7 +91,7 @@ TEST(ForgeRender, ClampsArbitraryParameters)
     }
     EXPECT_EQ(verify(forge::render(s)), "");
     const Workload w = forge::scenarioWorkload(s);
-    JrpmSystem sys(w, strictConfig());
+    JrpmSystem sys(w, forge::caseConfig());
     const RunOutcome seq = sys.runSequential(w.mainArgs, false,
                                              nullptr);
     EXPECT_TRUE(seq.halted);
@@ -217,7 +207,7 @@ TEST(ForgeShrink, MinimizesInjectedTlsDivergence)
     // oracle flags it, and the shrinker reduces the scenario to a
     // <= 8 statement repro that still diverges after a corpus
     // round-trip.
-    JrpmConfig cfg = strictConfig();
+    JrpmConfig cfg = forge::caseConfig();
     cfg.faultPlan = FaultPlan::parse("corrupt@0");
     auto diverges = [&](const ScenarioSpec &s) {
         const forge::CaseResult cr = forge::runCase(s, cfg, true);
@@ -400,8 +390,8 @@ TEST(ForgeCorpus, RejectsTheOldTextSyntax)
 
 TEST(ForgeCorpus, FileRoundTripAndListing)
 {
-    const std::string dir =
-        ::testing::TempDir() + "/forge-corpus-test";
+    const TempDir td;
+    const std::string &dir = td.path;
     const CorpusEntry e =
         forge::makeCorpusEntry(forge::generate(0xd15c));
     const std::string path = forge::writeCorpusEntry(dir, e);
@@ -421,9 +411,8 @@ TEST(ForgeCorpus, FileRoundTripAndListing)
 
 TEST(ForgeCorpus, TornWritesAreInvisibleOrRejectedNotFatal)
 {
-    const std::string dir =
-        ::testing::TempDir() + "/forge-corpus-torn";
-    std::filesystem::create_directories(dir);
+    const TempDir td;
+    const std::string &dir = td.path;
     const CorpusEntry good =
         forge::makeCorpusEntry(forge::generate(0x7042),
                                /*with_exit=*/false);
@@ -480,7 +469,7 @@ TEST(ForgeStarter, CheckedInCorpusReplaysCleanly)
     const auto files = forge::listCorpus(JRPM_FORGE_CORPUS_DIR);
     ASSERT_GE(files.size(), 10u)
         << "checked-in corpus missing at " JRPM_FORGE_CORPUS_DIR;
-    const JrpmConfig cfg = strictConfig();
+    const JrpmConfig cfg = forge::caseConfig();
     for (const std::string &path : files) {
         CorpusEntry e;
         std::string err;
@@ -532,7 +521,7 @@ TEST(ForgeCampaign, SmallCleanCampaignOnWorkerPool)
     cc.cases = 8;
     cc.seed = 0xca3e;
     cc.jobs = 2;
-    cc.base = strictConfig();
+    cc.base = forge::caseConfig();
     const forge::CampaignResult res = forge::runCampaign(cc);
     EXPECT_TRUE(res.clean()) << res.summary();
     EXPECT_EQ(res.cases, 8u);
@@ -548,7 +537,7 @@ TEST(ForgeCampaign, WorkerCountDoesNotChangeResults)
     forge::CampaignConfig cc;
     cc.cases = 6;
     cc.seed = 0xd00d;
-    cc.base = strictConfig();
+    cc.base = forge::caseConfig();
     cc.jobs = 1;
     const forge::CampaignResult a = forge::runCampaign(cc);
     cc.jobs = 4;
@@ -578,7 +567,7 @@ TEST(ForgeGuided, GuidedCampaignConvergesOnMoreSignatures)
     cc.jobs = 4;
     cc.axes = forge::parseAxes("baseline,nested,sync,exception");
     cc.forcedSweep = false;
-    cc.base = strictConfig();
+    cc.base = forge::caseConfig();
     // The strict oracle compares the full memory image per run; a
     // small image keeps 600 cases inside a tier-1 time budget.
     cc.base.sys.memBytes = 2u << 20;
@@ -619,14 +608,14 @@ TEST(ForgeDistill, MinimalCorpusCoversEveryObservedSignature)
     cc.jobs = 4;
     cc.axes = forge::parseAxes("baseline,nested,sync");
     cc.forcedSweep = false;
-    cc.base = strictConfig();
+    cc.base = forge::caseConfig();
     cc.base.sys.memBytes = 2u << 20;
     cc.base.vm.heapBytes = 1u << 20;
     const forge::CampaignResult res = forge::runCampaign(cc);
     ASSERT_TRUE(res.clean()) << res.summary();
 
-    const std::string dir = ::testing::TempDir() + "/forge-distill";
-    std::filesystem::remove_all(dir);
+    const TempDir td;
+    const std::string &dir = td.path;
     forge::DistillConfig dc;
     dc.outDir = dir;
     dc.shrinkProbes = 16;
@@ -680,7 +669,7 @@ TEST(ForgeDifferential, FastPathMatchesExactStep)
     forge::CampaignConfig cc;
     cc.cases = 12;
     cc.seed = 0xd1ff;
-    cc.base = strictConfig();
+    cc.base = forge::caseConfig();
     const forge::DifferentialResult res =
         forge::runFastPathDifferential(cc);
     EXPECT_TRUE(res.clean()) << res.summary();
@@ -709,7 +698,7 @@ TEST(ForgeRegression, InlinedCallWithCatchTableInSameMethod)
     s.body = {call, thr};
 
     const forge::CaseResult cr =
-        forge::runCase(s, strictConfig(), true);
+        forge::runCase(s, forge::caseConfig(), true);
     EXPECT_TRUE(cr.ok) << cr.error;
     EXPECT_FALSE(cr.failing(false)) << cr.detail;
 }
@@ -745,7 +734,7 @@ TEST(ForgeRegression, SyncLockPlanRejectsConditionalRegions)
 
     for (const ScenarioSpec *s : {&guarded, &reset}) {
         const forge::CaseResult cr =
-            forge::runCase(*s, strictConfig(), true);
+            forge::runCase(*s, forge::caseConfig(), true);
         EXPECT_TRUE(cr.ok) << cr.error;
         EXPECT_FALSE(cr.failing(false)) << cr.detail;
     }

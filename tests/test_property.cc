@@ -13,6 +13,7 @@
 
 #include "core/jrpm.hh"
 #include "core/oracle.hh"
+#include "forge/campaign.hh"
 #include "forge/forge.hh"
 #include "vm/runtime.hh"
 
@@ -110,10 +111,7 @@ TEST_P(OracleFuzz, StrictOracleCleanAcrossSeeds)
     const Workload w = forge::scenarioWorkload(spec);
     ASSERT_EQ(verify(w.program), "");
 
-    JrpmConfig cfg;
-    cfg.sys.memBytes = 8u << 20;
-    cfg.vm.heapBytes = 4u << 20;
-    cfg.oracle.mode = OracleMode::Strict;
+    const JrpmConfig cfg = forge::caseConfig();
     JrpmSystem sys(w, cfg);
     RunOutcome seq = sys.runSequential(w.mainArgs, false, nullptr);
     ASSERT_TRUE(seq.halted);

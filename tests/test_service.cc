@@ -15,7 +15,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
-#include <filesystem>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -26,6 +25,7 @@
 #include "forge/forge.hh"
 #include "service/protocol.hh"
 #include "service/server.hh"
+#include "temp_dir.hh"
 #include "workloads/workloads.hh"
 
 namespace jrpm
@@ -39,19 +39,6 @@ using svc::ReqKind;
 using svc::Request;
 using svc::ServiceClient;
 using svc::ServiceConfig;
-
-/** A fresh temp directory removed at scope exit. */
-struct TempDir
-{
-    std::filesystem::path path;
-
-    TempDir()
-    {
-        char tmpl[] = "/tmp/jrpm-service-XXXXXX";
-        path = ::mkdtemp(tmpl);
-    }
-    ~TempDir() { std::filesystem::remove_all(path); }
-};
 
 /** Start a server on an ephemeral port or fail the test. */
 struct ScopedServer
@@ -681,7 +668,7 @@ TEST(JrpmService, StatsFrameReportsSchedulerAndCache)
 {
     TempDir tmp;
     ServiceConfig cfg = quickServerConfig();
-    cfg.cache.dir = (tmp.path / "repo").string();
+    cfg.cache.dir = tmp.path + "/repo";
     cfg.cache.capacity = 8;
     ScopedServer srv(cfg);
     ServiceClient c = srv.client();
@@ -713,7 +700,7 @@ TEST(JrpmService, WarmResubmissionHitsTheSharedCache)
 {
     TempDir tmp;
     ServiceConfig cfg = quickServerConfig();
-    cfg.cache.dir = (tmp.path / "repo").string();
+    cfg.cache.dir = tmp.path + "/repo";
     ScopedServer srv(cfg);
     ServiceClient c = srv.client();
     std::string err;
@@ -745,7 +732,7 @@ TEST(JrpmService, FatalInOneRequestIsContained)
 {
     TempDir tmp;
     ServiceConfig cfg = quickServerConfig();
-    cfg.cache.dir = (tmp.path / "repo").string();
+    cfg.cache.dir = tmp.path + "/repo";
     ScopedServer srv(cfg);
     ServiceClient c = srv.client();
     std::string err;

@@ -31,16 +31,6 @@ using forge::ScenarioSpec;
 using forge::StmtKind;
 using forge::WeightBank;
 
-JrpmConfig
-strictConfig()
-{
-    JrpmConfig cfg;
-    cfg.oracle.mode = OracleMode::Strict;
-    cfg.sys.memBytes = 8u << 20;
-    cfg.vm.heapBytes = 4u << 20;
-    return cfg;
-}
-
 // ---- bucketing --------------------------------------------------------
 
 TEST(SigBucket, FourMagnitudeTiers)
@@ -174,7 +164,7 @@ TEST(SignatureDeterminism, GuidedCampaignIdenticalAcrossJobs)
     cc.guided = true;
     cc.guidedBatch = 8;
     cc.forcedSweep = false;
-    cc.base = strictConfig();
+    cc.base = forge::caseConfig();
 
     cc.jobs = 1;
     const forge::CampaignResult a = forge::runCampaign(cc);
@@ -202,7 +192,7 @@ TEST(SignatureDeterminism, SigHashMatchesRecomputation)
     // and the manifest cross-check rely on.
     for (std::uint64_t seed = 0x5eed; seed < 0x5eed + 4; ++seed) {
         const forge::CaseResult cr = forge::runCase(
-            forge::generate(seed), strictConfig(), true);
+            forge::generate(seed), forge::caseConfig(), true);
         EXPECT_EQ(cr.sigHash, forge::signatureOf(cr).hash());
         EXPECT_NE(cr.sigHash, 0u);
     }
@@ -228,7 +218,7 @@ TEST(SignatureGolden, StarterScenarioSignaturesArePinned)
     };
     const auto specs = forge::starterScenarios();
     ASSERT_EQ(specs.size(), want.size());
-    const JrpmConfig cfg = strictConfig();
+    const JrpmConfig cfg = forge::caseConfig();
     for (std::size_t i = 0; i < specs.size(); ++i) {
         const forge::CaseResult cr =
             forge::runCase(specs[i], cfg, /*forced_sweep=*/true);
